@@ -8,6 +8,7 @@ example configurations ship with the package and can be referenced by name.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import os
@@ -15,7 +16,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from . import farfield, fm, io, media, solver
 from .errors import (
@@ -220,8 +220,9 @@ def cmd_reconstruct(
     f0 = io.read_ffm(f0_path or os.path.join(out_dir, "F0.ffm.json"))
     fb = io.read_ffm(fb_path or os.path.join(out_dir, "Fb.ffm.json"))
     fields = io.read_fields(fields_path or os.path.join(out_dir, "fields.bin"))
-    if len(fields.angles) != f0.n:
-        raise DimensionMismatch("fields and far-field matrices disagree in N")
+    farfield.check_compatible(fields, f0)
+    if abs(f0.k - cfg.media.k) > 1e-12 * max(f0.k, cfg.media.k):
+        raise DimensionMismatch(f"data wavenumber {f0.k} differs from the config's {cfg.media.k}")
 
     if cfg.noise_level > 0:
         f0 = farfield.add_noise(f0, cfg.noise_level, cfg.noise_seed)
@@ -270,8 +271,10 @@ def _mie_applicable(scene: media.MediaConfig) -> bool:
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     """Run the consistency-check suite and write a pass/fail report."""
     checks = []
+    # one factorization of the background serves the plane waves and the point source
+    system = solver.assemble_system(cfg.grid, cfg.media, "background")
     fb, fields = farfield.assemble_far_field_matrix(
-        cfg.media, cfg.grid, "background", cfg.n_dirs, keep_fields=True
+        cfg.media, cfg.grid, "background", cfg.n_dirs, keep_fields=True, system=system
     )
     rec = farfield.reciprocity_defect(fb)
     checks.append({"name": "reciprocity", "value": rec, "limit": 1e-3, "passed": rec <= 1e-3})
@@ -288,18 +291,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     bx = cfg.media.host.shape.bbox()
     ctr = np.array([0.5 * (bx[0] + bx[1]), 0.5 * (bx[2] + bx[3])])
     z = cand[np.argmin(np.hypot(cand[:, 0] - ctr[0], cand[:, 1] - ctr[1]))]
-    system = solver.assemble_system(cfg.grid, cfg.media, "background")
-    c = cfg.grid.coords()
-    n = cfg.n_dirs
-    g = np.zeros(n, dtype=complex)
-    for j in range(n):
-        u = fields.data[(j + n // 2) % n]
-        sr = RectBivariateSpline(c, c, u.real)
-        si = RectBivariateSpline(c, c, u.imag)
-        g[j] = solver.gamma2(cfg.media.k) * (sr.ev(z[1], z[0]) + 1j * si.ev(z[1], z[0]))
+    g = fm.reversed_incidence_samples(fields, z[None, :])[:, 0]
     gsrc = solver.solve_point_source(system, z)
-    r_max = cfg.grid.half_extent - 4 * cfg.grid.h
-    r_ff = 0.5 * (media.bounding_radius(cfg.media.host.shape) + r_max)
+    r_ff = farfield.extraction_radius(cfg.media, cfg.grid)
     ginf = solver.far_field(gsrc, cfg.media.k, r_ff, fb.angles).values
     mixed = float(np.linalg.norm(g - ginf) / np.linalg.norm(ginf))
     checks.append({
@@ -348,6 +342,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defectscan",

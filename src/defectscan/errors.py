@@ -14,7 +14,7 @@ class SchemaError(DefectScanError):
 
 
 class SingularSystem(DefectScanError):
-    """Banded factorization hit a (near-)zero pivot."""
+    """Sparse LU factorization hit a (near-)zero pivot."""
 
 
 class PointInPml(DefectScanError):
@@ -34,7 +34,7 @@ class NotHermitian(DefectScanError):
 
 
 class NoConvergence(DefectScanError):
-    """Jacobi sweeps did not reduce the off-diagonal mass in time."""
+    """LAPACK's Hermitian eigensolver did not converge."""
 
 
 class PointOutsideD(DefectScanError):

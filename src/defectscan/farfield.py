@@ -63,6 +63,11 @@ def direction_angles(n: int) -> np.ndarray:
     return 2 * np.pi * np.arange(n) / n
 
 
+def extraction_radius(config: media.MediaConfig, spec: solver.GridSpec) -> float:
+    """Default far-field circle: midway between the host and 4h clear of the PML."""
+    return 0.5 * (media.bounding_radius(config.host.shape) + spec.half_extent - 4 * spec.h)
+
+
 def assemble_far_field_matrix(
     config: media.MediaConfig,
     spec: solver.GridSpec,
@@ -72,41 +77,43 @@ def assemble_far_field_matrix(
     r_ff: float | None = None,
     m_quad: int = 256,
     validate: bool = True,
+    system: solver.FactorizedSystem | None = None,
 ):
-    """One factorization + N plane-wave solves + N far-field extractions.
+    """One factorization (or the given `system` of the same medium), one
+    solve of all N plane-wave problems and one far-field extraction.
 
     Returns (FarFieldMatrix, FieldSet or None); the retained fields are the
     total fields, used later for test-function evaluation.
     """
     if n_dirs % 2 or n_dirs < 8:
         raise ConfigInvalid("need an even number of directions, at least 8")
-    system = solver.assemble_system(spec, config, which, validate=validate)
+    if system is None:
+        system = solver.assemble_system(spec, config, which, validate=validate)
     host_radius = media.bounding_radius(config.host.shape)
     r_max = spec.half_extent - 4 * spec.h
     if r_ff is None:
-        r_ff = 0.5 * (host_radius + r_max)
+        r_ff = extraction_radius(config, spec)
     if not (host_radius < r_ff <= r_max):
         raise ConfigInvalid(
             f"extraction radius {r_ff:g} must enclose the host ({host_radius:g}) "
             f"and stay {4 * spec.h:g} clear of the PML"
         )
     angles = direction_angles(n_dirs)
-    entries = np.zeros((n_dirs, n_dirs), dtype=complex)
-    fields = np.zeros((n_dirs, spec.n_nodes, spec.n_nodes), dtype=complex) if keep_fields else None
-    for j, theta in enumerate(angles):
-        d = (np.cos(theta), np.sin(theta))
-        scattered = solver.solve_plane_wave(system, d)
-        entries[:, j] = solver.far_field(scattered, config.k, r_ff, angles, m_quad).values
-        if keep_fields:
-            fields[j] = scattered.values + solver.incident_plane_wave(spec, config.k, d)
-    ffm = FarFieldMatrix(config.k, angles, entries)
-    fset = FieldSet(spec, config.k, angles, fields) if keep_fields else None
-    return ffm, fset
+    dirs = np.column_stack((np.cos(angles), np.sin(angles)))
+    scattered = solver.solve_plane_wave(system, dirs)
+    # row j of the far fields belongs to incidence j: the matrix is its transpose
+    entries = solver.far_field(scattered, config.k, r_ff, angles, m_quad).values.T
+    ffm = FarFieldMatrix(config.k, angles, entries.copy())
+    if not keep_fields:
+        return ffm, None
+    scattered.values += solver.incident_plane_wave(spec, config.k, dirs)  # total fields
+    return ffm, FieldSet(spec, config.k, angles, scattered.values)
 
 
-def _check_compatible(a: FarFieldMatrix, b: FarFieldMatrix):
-    if a.n != b.n:
-        raise DimensionMismatch(f"direction counts differ: {a.n} vs {b.n}")
+def check_compatible(a, b):
+    """Far-field data (FarFieldMatrix or FieldSet) must share N, k and directions."""
+    if len(a.angles) != len(b.angles):
+        raise DimensionMismatch(f"direction counts differ: {len(a.angles)} vs {len(b.angles)}")
     if abs(a.k - b.k) > 1e-12 * max(a.k, b.k):
         raise DimensionMismatch(f"wavenumbers differ: {a.k} vs {b.k}")
     if not np.allclose(a.angles, b.angles, rtol=0, atol=1e-12):
@@ -115,7 +122,7 @@ def _check_compatible(a: FarFieldMatrix, b: FarFieldMatrix):
 
 def relative_operator(f0: FarFieldMatrix, fb: FarFieldMatrix) -> FarFieldMatrix:
     """F = F0 - Fb: far-field operator of the defect relative to the background."""
-    _check_compatible(f0, fb)
+    check_compatible(f0, fb)
     return FarFieldMatrix(f0.k, f0.angles.copy(), f0.entries - fb.entries)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from . import media, solver
 from .errors import (
@@ -27,14 +26,12 @@ from .errors import (
 from .farfield import FarFieldMatrix, FieldSet, ScatteringOperator
 
 HERMITIAN_TOL = 1e-10
-OFFDIAG_TARGET = 1e-13
-MAX_SWEEPS = 60
 DEFAULT_FLOOR_REL = 1e-12
 INDICATOR_CAP = 1e30
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigen-machinery (cyclic complex Jacobi)
+# Hermitian eigen-machinery
 
 
 @dataclass
@@ -50,70 +47,25 @@ class HermitianEigensystem:
 
 
 def hermitian_eig(m: np.ndarray) -> HermitianEigensystem:
-    """Eigensystem of a complex Hermitian matrix by cyclic Jacobi rotations.
+    """Eigensystem of a complex Hermitian matrix by LAPACK (np.linalg.eigh).
 
-    Sweeps until the off-diagonal Frobenius mass drops below
-    OFFDIAG_TARGET * ||M||_F; deterministic for a given input.
+    F-sharp is defined by spectral calculus, so any backward-stable Hermitian
+    eigensolver serves; the exactly symmetrized input keeps the spectrum real.
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[0]
-    if m.shape != (n, n) or n > 512:
-        raise ConfigInvalid("matrix must be square with N <= 512")
+    if m.shape != (n, n):
+        raise ConfigInvalid("matrix must be square")
     norm = np.linalg.norm(m)
     if norm == 0.0:
         return HermitianEigensystem(np.zeros(n), np.eye(n, dtype=complex))
     if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * norm:
         raise NotHermitian("matrix is not Hermitian within tolerance")
-
-    a = 0.5 * (m + m.conj().T)  # exact symmetrization; diagonal forced real below
-    v = np.eye(n, dtype=complex)
-    target = OFFDIAG_TARGET * norm
-    skip = target / (n * n)  # elements already negligible are not rotated
-    for _ in range(MAX_SWEEPS):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                alpha, beta = a[p, p].real, a[q, q].real
-                tau = (beta - alpha) / (2 * r)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # pair transform U = diag(1, conj(phase)) . Givens(c, s)
-                u_pq = s
-                u_qq = c * np.conj(phase)
-                u_qp = -s * np.conj(phase)
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp + u_qp * colq
-                a[:, q] = u_pq * colp + u_qq * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp + np.conj(u_qp) * rowq
-                a[q, :] = np.conj(u_pq) * rowp + np.conj(u_qq) * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                colp = v[:, p].copy()
-                colq = v[:, q].copy()
-                v[:, p] = c * colp + u_qp * colq
-                v[:, q] = u_pq * colp + u_qq * colq
-    else:
-        raise NoConvergence(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
-
-    lam = np.real(np.diag(a))
-    order = np.argsort(lam)[::-1]
-    return HermitianEigensystem(lam[order], v[:, order])
+    try:
+        lam, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+    return HermitianEigensystem(lam[::-1].copy(), v[:, ::-1].copy())
 
 
 def operator_abs(m: np.ndarray) -> np.ndarray:
@@ -170,6 +122,15 @@ class TestFunctionSet:
     phi: np.ndarray     # (P, N), row p = phi_{z_p}
 
 
+def reversed_incidence_samples(fields: FieldSet, points: np.ndarray) -> np.ndarray:
+    """g[j, p] = gamma u_b(z_p, -x_hat_j) for points z_p (P, 2): the stored
+    field of direction (j + N/2) mod N, all N from one bicubic spline fit."""
+    (u,) = solver.GridSampler(fields.spec, fields.data)(points[:, 0], points[:, 1])
+    g = np.roll(u, -(len(fields.angles) // 2), axis=0)
+    g *= solver.gamma2(fields.k)
+    return g
+
+
 def test_functions(
     fields: FieldSet | None,
     s: ScatteringOperator,
@@ -177,11 +138,8 @@ def test_functions(
     points,
     use_adjoint: bool = False,
 ) -> TestFunctionSet:
-    """phi_z = S^{-1} g_z with g_z[j] = gamma u_b(z, -x_hat_j).
-
-    The total field for incidence -x_hat_j is the stored field for direction
-    index (j + N/2) mod N; values at z by bicubic interpolation.
-    """
+    """phi_z = S^{-1} g_z with g_z[j] = gamma u_b(z, -x_hat_j)
+    (see `reversed_incidence_samples`)."""
     if fields is None:
         raise MissingFields("background total fields were not retained")
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -193,14 +151,7 @@ def test_functions(
     if n % 2:
         raise ConfigInvalid("direction set must be closed under negation (N even)")
 
-    c = fields.spec.coords()
-    g = np.zeros((n, points.shape[0]), dtype=complex)
-    gam = solver.gamma2(fields.k)
-    for j in range(n):
-        u = fields.data[(j + n // 2) % n]
-        sr = RectBivariateSpline(c, c, u.real)
-        si = RectBivariateSpline(c, c, u.imag)
-        g[j] = gam * (sr.ev(points[:, 1], points[:, 0]) + 1j * si.ev(points[:, 1], points[:, 0]))
+    g = reversed_incidence_samples(fields, points)
     b = s.S.conj().T if use_adjoint else s.S_inv
     phi = (b @ g).T
     return TestFunctionSet(points, phi)

@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from . import solver
-from .errors import SchemaError
+from .errors import ConfigInvalid, SchemaError
 from .farfield import FarFieldMatrix, FieldSet
 
 
@@ -22,9 +22,13 @@ def _atomic_write(path: str, payload: bytes):
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+            # mkstemp creates 0600; give the output the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,6 +124,8 @@ def read_fields(path: str) -> FieldSet:
     if len(raw) != expect:
         raise SchemaError(f"{path}: payload is {len(raw)} bytes, expected {expect}")
     data = np.frombuffer(raw, dtype="<c16").reshape(n, nn, nn).copy()
+    if not np.all(np.isfinite(data)):
+        raise ConfigInvalid(f"{path}: fields payload has non-finite values")
     return FieldSet(spec, k, angles, data)
 
 

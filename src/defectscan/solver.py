@@ -3,8 +3,8 @@
 Discretizes the divergence-form operator div(A grad u) + k^2 n u on a uniform
 node grid with a flux-form 9-point stencil (face-averaged tensors, mixed terms
 by rotated differences over cell-centered a12) and a quadratic complex-stretch
-PML collar.  One banded LU factorization per medium is reused for all incident
-directions.  Far fields are extracted with the boundary-integral
+PML collar.  One sparse LU factorization per medium solves all incident
+directions in one call.  Far fields are extracted with the boundary-integral
 representation over a circle; an angular-mode series for the isotropic
 penetrable disc serves as the analytic oracle.
 """
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import RectBivariateSpline
-from scipy.linalg import lapack
+from scipy.interpolate import BSpline, make_interp_spline
+from scipy.sparse.linalg import splu
 from scipy.special import h1vp, hankel1, jv, jvp
 
 from . import media
@@ -118,28 +118,66 @@ def suggest_grid(
 
 @dataclass
 class ComplexGridField:
-    """Complex scalar field sampled on every grid node (row-major, [y, x])."""
+    """Complex scalar fields sampled on every grid node (row-major, [y, x]);
+    leading axes of `values` (..., n_nodes, n_nodes) index a stack of fields."""
 
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
         n = self.spec.n_nodes
-        if self.values.shape != (n, n):
+        if self.values.shape[-2:] != (n, n):
             raise ConfigInvalid("field shape does not match grid")
 
-    def interpolators(self):
-        """Bicubic splines for the field and its centered-difference gradient."""
-        c = self.spec.coords()
-        h = self.spec.h
-        gx = np.gradient(self.values, h, axis=1)
-        gy = np.gradient(self.values, h, axis=0)
-        def mk(z):
-            return (
-                RectBivariateSpline(c, c, z.real),
-                RectBivariateSpline(c, c, z.imag),
-            )
-        return mk(self.values), mk(gx), mk(gy)
+
+class GridSampler:
+    """Tensor-product not-a-knot cubic splines through a stack of grid fields.
+
+    Fits every field of `values` (..., n_nodes, n_nodes), indexed [y, x], at
+    once and, with `gradient=True`, also each field's np.gradient planes.
+    Fitting and np.gradient are linear, so each is an n x n matrix applied
+    along one axis and the gradient planes are never formed.  Evaluation is
+    a sparse row-Kronecker product of B-spline design rows.
+    """
+
+    def __init__(self, spec: GridSpec, values: np.ndarray, gradient: bool = False):
+        c = spec.coords()
+        n = len(c)
+        values = np.ascontiguousarray(values, dtype=complex)
+        self._batch = values.shape[:-2]
+        zr = values.reshape(-1, n, n).view(float)  # real matrices act on (re, im) pairs
+        spline = make_interp_spline(c, np.eye(n), k=3)
+        self._t = spline.t
+        fit = spline.c  # column j: coefficients of the spline through datum e_j
+
+        def along_y(m):  # [field, y, x] -> [x, (a, field)], ready for the x fit
+            return (m @ zr).view(complex).transpose(2, 1, 0).copy().reshape(n, -1)
+
+        def along_x(m, w):  # -> coefficients [(b, a), field]
+            return (m @ w.view(float)).view(complex).reshape(n * n, -1)
+
+        w = along_y(fit)
+        self._coef = [along_x(fit, w)]
+        if gradient:
+            dfit = fit @ np.gradient(np.eye(n), spec.h, axis=0)
+            self._coef.append(along_x(dfit, w))
+            del w  # keeps the peak at one intermediate
+            self._coef.append(along_x(fit, along_y(dfit)))
+
+    def __call__(self, x, y) -> list:
+        """Values at the points (x[p], y[p]): one array (..., P) per fitted
+        quantity, i.e. [values] or [values, d/dx, d/dy]."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        p, n = len(x), len(self._t) - 4
+        ex = BSpline.design_matrix(x, self._t, 3)  # 4 entries per row
+        ey = BSpline.design_matrix(y, self._t, 3)
+        cols = ex.indices.reshape(p, 4, 1) * n + ey.indices.reshape(p, 1, 4)
+        data = ex.data.reshape(p, 4, 1) * ey.data.reshape(p, 1, 4)
+        rows = sp.csr_matrix(
+            (data.ravel(), cols.ravel(), np.arange(0, 16 * p + 1, 16)), shape=(p, n * n)
+        )
+        return [(rows @ c).T.reshape(self._batch + (p,)) for c in self._coef]
 
 
 @dataclass
@@ -186,25 +224,11 @@ def _subcell_average(config, xs, ys, h, background, ns=16):
     return tuple(a / (ns * ns) for a in acc)
 
 
-def _cross_apply(cc, u, h):
-    """Rotated-difference discretization of d_x(c d_y u) + d_y(c d_x u).
-
-    cc holds cell-centered coefficients, shape (ny-1, nx-1); returns values on
-    interior nodes, shape (ny-2, nx-2).
-    """
-    u0 = u[1:-1, 1:-1]
-    ne = cc[1:, 1:] * (u[2:, 2:] - u0)
-    sw = cc[:-1, :-1] * (u[:-2, :-2] - u0)
-    se = cc[:-1, 1:] * (u[:-2, 2:] - u0)
-    nw = cc[1:, :-1] * (u[2:, :-2] - u0)
-    return (ne + sw - se - nw) / (2 * h * h)
-
-
-class BandedSystem:
+class FactorizedSystem:
     """Factorized discretization of one medium (background or defective).
 
-    Immutable after construction; `solve` may be called concurrently since the
-    LAPACK banded back-substitution does not mutate the factors.
+    Immutable after construction; `solve_grid` may be called concurrently
+    since SuperLU's triangular solves do not mutate the factors.
     """
 
     def __init__(self, spec: GridSpec, config: media.MediaConfig, which: str):
@@ -281,107 +305,120 @@ class BandedSystem:
         mat = sp.coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(ni * ni, ni * ni),
-        ).tocsr()
+        ).tocsc()
         self.op = mat
-        self.bandwidth = ni + 1
+        self.bandwidth = ni + 1  # half-bandwidth in the natural node ordering
 
     def _factorize(self):
-        kl = ku = self.bandwidth
-        n = self.op.shape[0]
-        coo = self.op.tocoo()
-        ab = np.zeros((2 * kl + ku + 1, n), dtype=complex, order="F")
-        ab[kl + ku + coo.row - coo.col, coo.col] = coo.data
-        lu, ipiv, info = lapack.zgbtrf(ab, kl, ku)
-        if info != 0:
-            raise SingularSystem(f"banded LU failed with LAPACK info={info}")
-        diag = np.abs(lu[kl + ku, :])
+        try:
+            self._lu = splu(self.op)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SingularSystem(f"sparse LU failed: {exc}") from exc
         row_scale = np.max(np.abs(self.op).sum(axis=1))
-        if diag.min() < PIVOT_TOL * row_scale:
+        if np.abs(self._lu.U.diagonal()).min() < PIVOT_TOL * row_scale:
             raise SingularSystem("pivot magnitude below tolerance")
-        self._lu, self._ipiv, self._kl, self._ku = lu, ipiv, kl, ku
 
         # residual probe on a deterministic random right-hand side
+        n = self.op.shape[0]
         rng = np.random.default_rng(12345)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = self._solve_vec(b)
         self.probe_residual = float(
-            np.linalg.norm(self.op @ x - b) / np.linalg.norm(b)
+            np.linalg.norm(self.op @ self._lu.solve(b) - b) / np.linalg.norm(b)
         )
         if self.probe_residual > FACTOR_PROBE_TOL:
             raise SingularSystem(
                 f"factorization probe residual {self.probe_residual:.2e} too large"
             )
 
-    def _solve_vec(self, b: np.ndarray) -> np.ndarray:
-        x, info = lapack.zgbtrs(self._lu, self._kl, self._ku, b, self._ipiv)
-        if info != 0:
-            raise SingularSystem(f"banded solve failed with LAPACK info={info}")
-        return x
+    def _unknowns(self, b_interior: np.ndarray) -> np.ndarray:
+        """(..., ni, ni) interior values -> (ni^2, batch) columns."""
+        return np.asarray(b_interior, dtype=complex).reshape(-1, self.n_interior**2).T
 
     def solve_grid(self, b_interior: np.ndarray) -> ComplexGridField:
-        """Solve for the interior unknowns and embed into the full node grid."""
-        ni = self.n_interior
-        x = self._solve_vec(b_interior.ravel().astype(complex))
-        full = np.zeros((self.spec.n_nodes, self.spec.n_nodes), dtype=complex)
-        full[1:-1, 1:-1] = x.reshape(ni, ni)
+        """Solve for the interior unknowns of one right-hand side (ni, ni), or
+        a stack (..., ni, ni) in one call, and embed into the full node grid."""
+        ni, nn = self.n_interior, self.spec.n_nodes
+        batch = np.shape(b_interior)[:-2]
+        x = self._lu.solve(self._unknowns(b_interior))
+        full = np.zeros(batch + (nn, nn), dtype=complex)
+        full[..., 1:-1, 1:-1] = x.T.reshape(batch + (ni, ni))
         return ComplexGridField(self.spec, full)
 
     def residual(self, field: ComplexGridField, b_interior: np.ndarray) -> float:
-        x = field.values[1:-1, 1:-1].ravel()
-        b = b_interior.ravel()
+        """Relative residual ||A x - b|| / ||b|| over every field of the stack."""
+        x = self._unknowns(field.values[..., 1:-1, 1:-1])
+        b = self._unknowns(b_interior)
         return float(np.linalg.norm(self.op @ x - b) / np.linalg.norm(b))
 
 
 def assemble_system(
     spec: GridSpec, config: media.MediaConfig, which: str = "background",
     validate: bool = True,
-) -> BandedSystem:
+) -> FactorizedSystem:
     """Discretize and factorize one medium.  `validate=False` skips the grid
     and containment invariants (verification scenes only)."""
     if validate:
         config.validate(spec.h)
         spec.validate_for(config)
-    return BandedSystem(spec, config, which)
+    return FactorizedSystem(spec, config, which)
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides and solves
 
 
-def plane_wave_rhs(system: BandedSystem, d) -> np.ndarray:
+def _plane_wave(k: float, d: np.ndarray, xs, ys) -> np.ndarray:
+    """exp(i k d.x), shape (..., len(ys), len(xs)), for directions d (..., 2),
+    from its two separable axis factors."""
+    ex = np.exp(1j * k * d[..., 0, None] * xs)
+    ey = np.exp(1j * k * d[..., 1, None] * ys)
+    return ey[..., :, None] * ex[..., None, :]
+
+
+def plane_wave_rhs(system: FactorizedSystem, d) -> np.ndarray:
     """Contrast source -[div((A-I) grad u_inc) + k^2 (n-1) u_inc] on interior
-    nodes, with the incident gradient evaluated analytically on cell faces."""
-    c = system._coords
-    h = system.spec.h
-    k = system.k
-    dx, dy = float(d[0]), float(d[1])
+    nodes, (..., ni, ni) for directions d (..., 2), with the incident gradient
+    evaluated analytically on cell faces.  Every face value and neighbour the
+    stencil reads of a plane wave is the node value times a phase, so the
+    source is u_inc times a direction-weighted sum of nine coefficient planes.
+    """
+    c, h, k, ni = system._coords, system.spec.h, system.k, system.n_interior
+    d = np.asarray(d, dtype=float)
+    ax, ay, cc = system._face_x[1:-1] - 1.0, system._face_y[:, 1:-1] - 1.0, system._cc
+    planes = np.stack([
+        system._n[1:-1, 1:-1] - 1.0,
+        ax[:, 1:], ax[:, :-1], ay[1:], ay[:-1],              # east, west, north, south
+        cc[1:, 1:], cc[:-1, :-1], cc[:-1, 1:], cc[1:, :-1],  # ne, sw, se, nw
+    ]).reshape(9, ni * ni)
+    kx, ky = k * h * d[..., 0], k * h * d[..., 1]
+    gx, gy, cross = 1j * kx / h**2, 1j * ky / h**2, 0.5 / h**2
+    weights = -np.stack([
+        np.full(kx.shape, k * k, dtype=complex),
+        gx * np.exp(0.5j * kx), -gx * np.exp(-0.5j * kx),
+        gy * np.exp(0.5j * ky), -gy * np.exp(-0.5j * ky),
+        cross * (np.exp(1j * (kx + ky)) - 1.0), cross * (np.exp(-1j * (kx + ky)) - 1.0),
+        -cross * (np.exp(1j * (kx - ky)) - 1.0), -cross * (np.exp(1j * (ky - kx)) - 1.0),
+    ], axis=-1)
+    rhs = (weights @ planes).reshape(d.shape[:-1] + (ni, ni))
+    rhs *= _plane_wave(k, d, c[1:-1], c[1:-1])
+    return rhs
 
-    xf = c[:-1] + h / 2
-    u_inc = np.exp(1j * k * (dx * c[None, :] + dy * c[:, None]))
-    gx = 1j * k * dx * np.exp(1j * k * (dx * xf[None, :] + dy * c[:, None]))
-    gy = 1j * k * dy * np.exp(1j * k * (dx * c[None, :] + dy * xf[:, None]))
 
-    fx = (system._face_x - 1.0) * gx
-    fy = (system._face_y - 1.0) * gy
-    div = (fx[1:-1, 1:] - fx[1:-1, :-1]) / h + (fy[1:, 1:-1] - fy[:-1, 1:-1]) / h
-    cross = _cross_apply(system._cc, u_inc, h)
-    mass = (k * k) * (system._n[1:-1, 1:-1] - 1.0) * u_inc[1:-1, 1:-1]
-    return -(div + cross + mass)
-
-
-def solve_plane_wave(system: BandedSystem, d) -> ComplexGridField:
-    """Scattered field for an incident plane wave with unit direction d."""
-    if abs(math.hypot(float(d[0]), float(d[1])) - 1.0) > 1e-12:
+def solve_plane_wave(system: FactorizedSystem, d) -> ComplexGridField:
+    """Scattered fields for incident plane waves with unit directions d of
+    shape (2,) or (..., 2), all solved in one multi-right-hand-side call."""
+    d = np.asarray(d, dtype=float)
+    if np.any(np.abs(np.hypot(d[..., 0], d[..., 1]) - 1.0) > 1e-12):
         raise ConfigInvalid("incident direction must be a unit vector")
     return system.solve_grid(plane_wave_rhs(system, d))
 
 
 def incident_plane_wave(spec: GridSpec, k: float, d) -> np.ndarray:
     c = spec.coords()
-    return np.exp(1j * k * (float(d[0]) * c[None, :] + float(d[1]) * c[:, None]))
+    return _plane_wave(k, np.asarray(d, dtype=float), c, c)
 
 
-def solve_point_source(system: BandedSystem, z) -> ComplexGridField:
+def solve_point_source(system: FactorizedSystem, z) -> ComplexGridField:
     """Approximate Green's function of the medium: discrete delta of total
     weight 1/h^2 spread bilinearly over the four nodes surrounding z (keeps
     the source centered at z itself).  Verification-quality only."""
@@ -413,8 +450,9 @@ def solve_point_source(system: BandedSystem, z) -> ComplexGridField:
 def far_field(
     field: ComplexGridField, k: float, r_ff: float, angles, m_quad: int = 256,
 ) -> FarFieldVector:
-    """Far-field pattern of a radiating grid field by the boundary-integral
-    representation over the circle of radius r_ff (trapezoidal quadrature)."""
+    """Far-field patterns (..., len(angles)) of radiating grid fields
+    (..., n, n) by the boundary-integral representation over the circle of
+    radius r_ff (trapezoidal quadrature); one spline fit samples every field."""
     spec = field.spec
     if m_quad < 256:
         raise ConfigInvalid("need at least 256 quadrature points")
@@ -424,20 +462,17 @@ def far_field(
         )
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
 
-    (ur, ui), (gxr, gxi), (gyr, gyi) = field.interpolators()
     phi = 2 * np.pi * np.arange(m_quad) / m_quad
     cp, sp_ = np.cos(phi), np.sin(phi)
     yx, yy = r_ff * cp, r_ff * sp_
-    u = ur.ev(yy, yx) + 1j * ui.ev(yy, yx)
-    du = cp * (gxr.ev(yy, yx) + 1j * gxi.ev(yy, yx)) + sp_ * (
-        gyr.ev(yy, yx) + 1j * gyi.ev(yy, yx)
-    )
+    u, gx, gy = GridSampler(spec, field.values, gradient=True)(yx, yy)
+    du = cp * gx + sp_ * gy
 
     xhat_x, xhat_y = np.cos(angles), np.sin(angles)
     phase = np.exp(-1j * k * (np.outer(xhat_x, yx) + np.outer(xhat_y, yy)))
     cos_xn = np.outer(xhat_x, cp) + np.outer(xhat_y, sp_)
-    integrand = (-1j * k * cos_xn * u[None, :] - du[None, :]) * phase
-    values = gamma2(k) * integrand.sum(axis=1) * (2 * np.pi * r_ff / m_quad)
+    integral = u @ (-1j * k * cos_xn * phase).T - du @ phase.T
+    values = gamma2(k) * integral * (2 * np.pi * r_ff / m_quad)
     return FarFieldVector(k, angles, values)
 
 

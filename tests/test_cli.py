@@ -1,11 +1,15 @@
 import json
 import os
+import re
+import stat
 
 import numpy as np
 import pytest
 
 from defectscan import cli, farfield, io, solver
-from defectscan.errors import SchemaError
+from defectscan.errors import ConfigInvalid, SchemaError
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
 TINY_DOC = {
     "schema": "run/1",
@@ -96,6 +100,16 @@ def test_flag_overrides(tiny_config_path, tmp_path):
     assert cfg.n_dirs == 16
 
 
+def test_readme_json_blocks_parse():
+    with open(README) as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        cfg = cli.parse_run_config(json.loads(block))
+        cfg.media.validate(cfg.grid.h)
+        cfg.grid.validate_for(cfg.media)
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -141,6 +155,30 @@ def test_fields_round_trip(tmp_path, rng):
         fh.write(raw[:-16])
     with pytest.raises(SchemaError):
         io.read_fields(path)
+
+
+def test_read_fields_rejects_non_finite(tmp_path):
+    spec = solver.GridSpec(1.0, 0.25, 8)
+    nn = spec.n_nodes
+    data = np.zeros((4, nn, nn), dtype=complex)
+    data[2, 3, 5] = complex(0.0, np.inf)
+    path = str(tmp_path / "fields.bin")
+    io.write_fields(path, farfield.FieldSet(spec, 1.0, farfield.direction_angles(4), data))
+    with pytest.raises(ConfigInvalid):
+        io.read_fields(path)
+
+
+def test_outputs_respect_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        path = str(tmp_path / "report.json")
+        io.write_report(path, {"schema": "report/1"})
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+        os.umask(0o077)
+        io.write_report(path, {"schema": "report/1"})
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    finally:
+        os.umask(old)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +251,57 @@ def test_reconstruct_exit_codes(tiny_config_path, tmp_path):
         "reconstruct", "--config", tiny_config_path, "--out", out,
         "--f0", str(tmp_path / "nope.json"),
     ]) == 2
+
+
+@pytest.fixture(scope="module")
+def tiny_simulation(tmp_path_factory):
+    """Paths of the tiny scene's config and simulate outputs."""
+    root = tmp_path_factory.mktemp("tiny_sim")
+    cfg = root / "tiny.json"
+    cfg.write_text(json.dumps(TINY_DOC))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(root)]) == 0
+    return {
+        "config": str(cfg),
+        **{key: str(root / name) for key, name in
+           (("f0", "F0.ffm.json"), ("fb", "Fb.ffm.json"), ("fields", "fields.bin"))},
+    }
+
+
+def _reconstruct(paths, out, **override):
+    p = {**paths, **override}
+    return cli.main([
+        "reconstruct", "--config", p["config"], "--out", str(out),
+        "--f0", p["f0"], "--fb", p["fb"], "--fields", p["fields"],
+    ])
+
+
+def _altered_fields(paths, tmp_path, **change):
+    fs = io.read_fields(paths["fields"])
+    fs = farfield.FieldSet(fs.spec, change.get("k", fs.k), change.get("angles", fs.angles), fs.data)
+    path = str(tmp_path / "fields.bin")
+    io.write_fields(path, fs)
+    return path
+
+
+def test_reconstruct_rejects_fields_wavenumber_mismatch(tiny_simulation, tmp_path):
+    fields = _altered_fields(tiny_simulation, tmp_path, k=1.5)
+    assert _reconstruct(tiny_simulation, tmp_path / "out", fields=fields) == 4
+
+
+def test_reconstruct_rejects_fields_direction_mismatch(tiny_simulation, tmp_path):
+    angles = farfield.direction_angles(TINY_DOC["directions"]) + 0.05
+    fields = _altered_fields(tiny_simulation, tmp_path, angles=angles)
+    assert _reconstruct(tiny_simulation, tmp_path / "out", fields=fields) == 4
+
+
+def test_reconstruct_rejects_config_wavenumber_mismatch(tiny_simulation, tmp_path):
+    doc = json.loads(json.dumps(TINY_DOC))
+    doc["k"] = 1.25
+    cfg = tmp_path / "other_k.json"
+    cfg.write_text(json.dumps(doc))
+    assert _reconstruct(tiny_simulation, tmp_path / "out", config=str(cfg)) == 4
+    # the unaltered inputs reconstruct
+    assert _reconstruct(tiny_simulation, tmp_path / "out") == 0
 
 
 def test_config_error_exit_code(tmp_path):

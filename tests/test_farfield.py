@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from scipy.interpolate import RectBivariateSpline
 
 from defectscan import farfield, media, solver
 from defectscan.errors import ConfigInvalid, DimensionMismatch
@@ -41,6 +43,48 @@ def test_zero_contrast_background_matrix(homogeneous_system):
     # retained total fields are the incident plane waves
     d0 = solver.incident_plane_wave(system.spec, K, (1.0, 0.0))
     assert np.allclose(fields.data[0], d0, atol=1e-12)
+
+
+def _reference_far_field(spec, u, k, r_ff, angles, m_quad=256):
+    """Per-field far field: six separate bicubic splines of the field and its
+    centered-difference gradient, sampled on the quadrature circle."""
+    c = spec.coords()
+    phi = 2 * np.pi * np.arange(m_quad) / m_quad
+    cp, sp_ = np.cos(phi), np.sin(phi)
+    yx, yy = r_ff * cp, r_ff * sp_
+
+    def ev(z):
+        re = RectBivariateSpline(c, c, z.real).ev(yy, yx)
+        return re + 1j * RectBivariateSpline(c, c, z.imag).ev(yy, yx)
+
+    val = ev(u)
+    du = cp * ev(np.gradient(u, spec.h, axis=1)) + sp_ * ev(np.gradient(u, spec.h, axis=0))
+    xx, xy = np.cos(angles), np.sin(angles)
+    phase = np.exp(-1j * k * (np.outer(xx, yx) + np.outer(xy, yy)))
+    cos_xn = np.outer(xx, cp) + np.outer(xy, sp_)
+    integrand = (-1j * k * cos_xn * val[None, :] - du[None, :]) * phase
+    return solver.gamma2(k) * integrand.sum(axis=1) * (2 * np.pi * r_ff / m_quad)
+
+
+def test_far_field_matrix_matches_per_column_reference(tiny_cfg):
+    n = 8
+    spec = solver.GridSpec(2.0, 0.125, 8)
+    f, fields = farfield.assemble_far_field_matrix(
+        tiny_cfg, spec, "defective", n, keep_fields=True
+    )
+    system = solver.assemble_system(spec, tiny_cfg, "defective")
+    r_ff = farfield.extraction_radius(tiny_cfg, spec)
+    ni, nn = system.n_interior, spec.n_nodes
+    ref = np.zeros((n, n), dtype=complex)
+    for j, th in enumerate(f.angles):
+        d = (np.cos(th), np.sin(th))
+        x = scipy.sparse.linalg.spsolve(system.op, solver.plane_wave_rhs(system, d).ravel())
+        u = np.zeros((nn, nn), dtype=complex)
+        u[1:-1, 1:-1] = x.reshape(ni, ni)
+        ref[:, j] = _reference_far_field(spec, u, tiny_cfg.k, r_ff, f.angles)
+        total = u + solver.incident_plane_wave(spec, tiny_cfg.k, d)
+        assert np.abs(fields.data[j] - total).max() <= 1e-12 * np.abs(total).max()
+    assert np.abs(f.entries - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_direction_count_validation(homogeneous_system):

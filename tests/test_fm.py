@@ -8,6 +8,7 @@ from defectscan.errors import (
     ConfigInvalid,
     DimensionMismatch,
     MissingFields,
+    NoConvergence,
     NotHermitian,
     PointOutsideD,
 )
@@ -63,6 +64,15 @@ def test_eig_rejects_non_hermitian(rng):
         fm.hermitian_eig(m)
     with pytest.raises(ConfigInvalid):
         fm.hermitian_eig(np.zeros((2, 3)))
+
+
+def test_eig_lapack_failure_maps_to_no_convergence(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence):
+        fm.hermitian_eig(np.eye(3, dtype=complex))
 
 
 def test_eig_zero_matrix():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.interpolate import RectBivariateSpline
 from scipy.special import hankel1, jv
 
 from defectscan import media, solver
@@ -9,6 +11,7 @@ from defectscan.errors import (
     CircleOutOfBounds,
     ConfigInvalid,
     PointInPml,
+    SingularSystem,
 )
 
 K = 1.0
@@ -125,6 +128,20 @@ def test_factorization_probe_residual(tiny_cfg, tiny_grid):
     assert system.probe_residual <= 1e-10
 
 
+def test_singular_operator_raises(homogeneous_system):
+    system, _ = homogeneous_system
+    n = system.op.shape[0]
+    broken = solver.FactorizedSystem.__new__(solver.FactorizedSystem)
+    broken.op = sp.csc_matrix((n, n), dtype=complex)  # exactly singular
+    with pytest.raises(SingularSystem):
+        broken._factorize()
+    tiny = np.ones(n, dtype=complex)
+    tiny[n // 2] = 1e-20  # factorizes, but one pivot is negligible
+    broken.op = sp.diags(tiny, format="csc")
+    with pytest.raises(SingularSystem):
+        broken._factorize()
+
+
 # ---------------------------------------------------------------------------
 # plane-wave solves
 
@@ -171,6 +188,83 @@ def test_grid_convergence_factor():
         ff = solver.far_field(f, K, 2.0, ANGLES64).values
         errs.append(np.linalg.norm(ff - exact) / np.linalg.norm(exact))
     assert errs[0] / errs[1] >= 3.0
+
+
+def test_plane_wave_rhs_matches_direct_stencil():
+    # anisotropic host (a12 != 0) and a lossy defect exercise every plane
+    host = media.HostRegion(media.Circle((0, 0), 1.0), media.SymTensor2(0.6, 0.15, 0.5), 2.0)
+    defect = media.Defect(media.Circle((0.2, 0), 0.4), media.SymTensor2.identity(), 1.0 + 0.2j)
+    cfg = media.MediaConfig(host, (defect,), K)
+    system = solver.assemble_system(solver.GridSpec(2.0, 0.125, 8), cfg, "defective")
+    c, h = system.spec.coords(), system.spec.h
+    xf = c[:-1] + h / 2
+    for th in (0.0, 0.7, 2.5):
+        dx, dy = math.cos(th), math.sin(th)
+
+        def wave(xs, ys):
+            return np.exp(1j * K * (dx * xs[None, :] + dy * ys[:, None]))
+
+        u = wave(c, c)
+        fx = (system._face_x - 1.0) * 1j * K * dx * wave(xf, c)
+        fy = (system._face_y - 1.0) * 1j * K * dy * wave(c, xf)
+        div = (fx[1:-1, 1:] - fx[1:-1, :-1]) / h + (fy[1:, 1:-1] - fy[:-1, 1:-1]) / h
+        cc, u0 = system._cc, u[1:-1, 1:-1]
+        cross = (
+            cc[1:, 1:] * (u[2:, 2:] - u0) + cc[:-1, :-1] * (u[:-2, :-2] - u0)
+            - cc[:-1, 1:] * (u[:-2, 2:] - u0) - cc[1:, :-1] * (u[2:, :-2] - u0)
+        ) / (2 * h * h)
+        mass = K * K * (system._n[1:-1, 1:-1] - 1.0) * u0
+        want = -(div + cross + mass)
+        got = solver.plane_wave_rhs(system, (dx, dy))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_batched_solve_matches_single_directions(tiny_cfg):
+    # a single direction is a batch of one through the same path
+    spec = solver.GridSpec(2.0, 0.125, 8)
+    system = solver.assemble_system(spec, tiny_cfg, "defective")
+    ang = np.array([0.3, 1.9, 4.0])
+    dirs = np.column_stack((np.cos(ang), np.sin(ang)))
+    batch = solver.solve_plane_wave(system, dirs)
+    ff = solver.far_field(batch, K, 1.25, ANGLES64).values
+    assert batch.values.shape == (3, spec.n_nodes, spec.n_nodes)
+    assert ff.shape == (3, 64)
+    assert system.residual(batch, solver.plane_wave_rhs(system, dirs)) <= 1e-9
+    for j, d in enumerate(dirs):
+        one = solver.solve_plane_wave(system, d)
+        scale = np.abs(one.values).max()
+        assert np.abs(batch.values[j] - one.values).max() <= 1e-12 * scale
+        single = solver.far_field(one, K, 1.25, ANGLES64).values
+        assert np.abs(ff[j] - single).max() <= 1e-12 * np.abs(single).max()
+
+
+# ---------------------------------------------------------------------------
+# spline sampler
+
+
+def test_grid_sampler_matches_per_field_splines(tiny_grid, rng):
+    spec = tiny_grid
+    c = spec.coords()
+    nn = spec.n_nodes
+    fields = rng.standard_normal((3, nn, nn)) + 1j * rng.standard_normal((3, nn, nn))
+    x = rng.uniform(c[0], c[-1], 50)
+    y = rng.uniform(c[0], c[-1], 50)
+    u, gx, gy = solver.GridSampler(spec, fields, gradient=True)(x, y)
+    (only,) = solver.GridSampler(spec, fields)(x, y)
+    assert np.array_equal(only, u)
+
+    def reference(z):
+        re = RectBivariateSpline(c, c, z.real).ev(y, x)
+        return re + 1j * RectBivariateSpline(c, c, z.imag).ev(y, x)
+
+    for f, z in enumerate(fields):
+        for got, plane in (
+            (u[f], z),
+            (gx[f], np.gradient(z, spec.h, axis=1)),
+            (gy[f], np.gradient(z, spec.h, axis=0)),
+        ):
+            want = reference(plane)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(plane).max()
 
 
 # ---------------------------------------------------------------------------
