@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import farfield, fm, io, media, solver
 from .errors import (
@@ -161,12 +162,8 @@ def bundled_config_names() -> list:
 
 def _near_shape(shape, pts: np.ndarray, clearance: float) -> np.ndarray:
     """Points inside the shape or within `clearance` of its boundary."""
-    bp = shape.boundary_points(512)
-    d2 = np.min(
-        (pts[:, None, 0] - bp[None, :, 0]) ** 2 + (pts[:, None, 1] - bp[None, :, 1]) ** 2,
-        axis=1,
-    )
-    return shape.contains(pts) | (d2 < clearance * clearance)
+    dist, _ = cKDTree(shape.boundary_points(512)).query(pts, distance_upper_bound=clearance)
+    return shape.contains(pts) | (dist < clearance)
 
 
 def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig, clearance: float = 0.2):
@@ -242,7 +239,7 @@ def cmd_reconstruct(
     report = {
         "schema": "report/1",
         "k": cfg.media.k,
-        "N": cfg.n_dirs,
+        "N": f0.n,
         "noise": {"level": cfg.noise_level, "seed": cfg.noise_seed},
         "unitarity_defect": s.unitarity_defect,
         "assumptions": media.validate_assumptions(cfg.media, h=cfg.grid.h).to_dict(),

@@ -125,7 +125,7 @@ class TestFunctionSet:
 def reversed_incidence_samples(fields: FieldSet, points: np.ndarray) -> np.ndarray:
     """g[j, p] = gamma u_b(z_p, -x_hat_j) for points z_p (P, 2): the stored
     field of direction (j + N/2) mod N, all N from one bicubic spline fit."""
-    (u,) = solver.GridSampler(fields.spec, fields.data)(points[:, 0], points[:, 1])
+    (u,) = solver.sample_fields(fields.spec, fields.data, points[:, 0], points[:, 1])
     g = np.roll(u, -(len(fields.angles) // 2), axis=0)
     g *= solver.gamma2(fields.k)
     return g

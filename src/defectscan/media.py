@@ -95,6 +95,12 @@ class Circle:
         dy = pts[..., 1] - self.center[1]
         return dx * dx + dy * dy < self.radius * self.radius
 
+    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+        """Distance to the circle's boundary (exact)."""
+        pts = np.asarray(pts, dtype=float)
+        r = np.hypot(pts[..., 0] - self.center[0], pts[..., 1] - self.center[1])
+        return np.abs(r - self.radius)
+
     def boundary_points(self, n: int) -> np.ndarray:
         t = 2 * np.pi * np.arange(n) / n
         return np.column_stack(
@@ -123,6 +129,14 @@ class Ellipse:
         dy = (pts[..., 1] - self.center[1]) / self.semi_b
         return dx * dx + dy * dy < 1.0
 
+    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+        """Lower bound on the distance to the boundary: the scaled radius f has
+        Lipschitz constant 1 / min(a, b) and equals 1 on the boundary."""
+        pts = np.asarray(pts, dtype=float)
+        f = np.hypot((pts[..., 0] - self.center[0]) / self.semi_a,
+                     (pts[..., 1] - self.center[1]) / self.semi_b)
+        return np.abs(f - 1.0) * min(self.semi_a, self.semi_b)
+
     def boundary_points(self, n: int) -> np.ndarray:
         t = 2 * np.pi * np.arange(n) / n
         return np.column_stack(
@@ -149,6 +163,14 @@ class Rectangle:
         pts = np.asarray(pts, dtype=float)
         x, y = pts[..., 0], pts[..., 1]
         return (x > self.xmin) & (x < self.xmax) & (y > self.ymin) & (y < self.ymax)
+
+    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+        """Distance to the rectangle's boundary (exact)."""
+        pts = np.asarray(pts, dtype=float)
+        dx = np.maximum(self.xmin - pts[..., 0], pts[..., 0] - self.xmax)  # < 0 inside
+        dy = np.maximum(self.ymin - pts[..., 1], pts[..., 1] - self.ymax)
+        outside = np.hypot(np.maximum(dx, 0.0), np.maximum(dy, 0.0))
+        return np.where((dx < 0) & (dy < 0), -np.maximum(dx, dy), outside)
 
     def boundary_points(self, n: int) -> np.ndarray:
         per_side = max(n // 4, 2)
@@ -177,6 +199,11 @@ class Union:
         for m in self.members[1:]:
             out = out | m.contains(pts)
         return out
+
+    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
+        """Lower bound on the distance to the union's boundary, which lies on
+        its members' boundaries."""
+        return np.min([m.boundary_distance(pts) for m in self.members], axis=0)
 
     def boundary_points(self, n: int) -> np.ndarray:
         per = max(n // len(self.members), 8)
@@ -365,11 +392,13 @@ def sample_coefficients(config: MediaConfig, p, background: bool = False):
 
 
 def sample_grid(config: MediaConfig, xs, ys, background: bool = False):
-    """Vectorized coefficient sampling on a tensor grid.
+    """Vectorized coefficient sampling on a tensor grid, or on a batch of them:
+    leading axes of xs (..., nx) and ys (..., ny) broadcast.
 
-    Returns complex arrays (a11, a12, a22, n), each of shape (len(ys), len(xs)).
+    Returns complex arrays (a11, a12, a22, n), each of shape (..., ny, nx).
     """
-    xx, yy = np.meshgrid(np.asarray(xs, float), np.asarray(ys, float))
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    xx, yy = np.broadcast_arrays(xs[..., None, :], ys[..., :, None])
     pts = np.stack((xx, yy), axis=-1)
     a11 = np.ones(xx.shape, dtype=complex)
     a12 = np.zeros(xx.shape, dtype=complex)

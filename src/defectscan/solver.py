@@ -130,54 +130,51 @@ class ComplexGridField:
             raise ConfigInvalid("field shape does not match grid")
 
 
-class GridSampler:
-    """Tensor-product not-a-knot cubic splines through a stack of grid fields.
+def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = False) -> list:
+    """Tensor-product not-a-knot cubic splines through a stack of grid fields,
+    evaluated at the points (x[p], y[p]).
 
     Fits every field of `values` (..., n_nodes, n_nodes), indexed [y, x], at
-    once and, with `gradient=True`, also each field's np.gradient planes.
+    once and returns one array (..., P) per quantity: [values], or with
+    `gradient=True` [values, d/dx, d/dy] of each field's np.gradient planes.
     Fitting and np.gradient are linear, so each is an n x n matrix applied
     along one axis and the gradient planes are never formed.  Evaluation is
-    a sparse row-Kronecker product of B-spline design rows.
+    a sparse row-Kronecker product of B-spline design rows; each quantity's
+    coefficients are fitted, evaluated and freed before the next is formed.
     """
+    c = spec.coords()
+    n = len(c)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    values = np.ascontiguousarray(values, dtype=complex)
+    batch, p = values.shape[:-2], len(x)
+    zr = values.reshape(-1, n, n).view(float)  # real matrices act on (re, im) pairs
+    spline = make_interp_spline(c, np.eye(n), k=3)
+    fit = spline.c  # column j: coefficients of the spline through datum e_j
 
-    def __init__(self, spec: GridSpec, values: np.ndarray, gradient: bool = False):
-        c = spec.coords()
-        n = len(c)
-        values = np.ascontiguousarray(values, dtype=complex)
-        self._batch = values.shape[:-2]
-        zr = values.reshape(-1, n, n).view(float)  # real matrices act on (re, im) pairs
-        spline = make_interp_spline(c, np.eye(n), k=3)
-        self._t = spline.t
-        fit = spline.c  # column j: coefficients of the spline through datum e_j
+    ex = BSpline.design_matrix(x, spline.t, 3)  # 4 entries per row
+    ey = BSpline.design_matrix(y, spline.t, 3)
+    cols = ex.indices.reshape(p, 4, 1) * n + ey.indices.reshape(p, 1, 4)
+    data = ex.data.reshape(p, 4, 1) * ey.data.reshape(p, 1, 4)
+    rows = sp.csr_matrix(
+        (data.ravel(), cols.ravel(), np.arange(0, 16 * p + 1, 16)), shape=(p, n * n)
+    )
 
-        def along_y(m):  # [field, y, x] -> [x, (a, field)], ready for the x fit
-            return (m @ zr).view(complex).transpose(2, 1, 0).copy().reshape(n, -1)
+    def along_y(m):  # [field, y, x] -> [x, (a, field)], ready for the x fit
+        return (m @ zr).view(complex).transpose(2, 1, 0).copy().reshape(n, -1)
 
-        def along_x(m, w):  # -> coefficients [(b, a), field]
-            return (m @ w.view(float)).view(complex).reshape(n * n, -1)
+    def evaluate(m, w):  # x fit -> coefficients [(b, a), field] -> samples
+        coef = (m @ w.view(float)).view(complex).reshape(n * n, -1)
+        return (rows @ coef).T.reshape(batch + (p,))
 
-        w = along_y(fit)
-        self._coef = [along_x(fit, w)]
-        if gradient:
-            dfit = fit @ np.gradient(np.eye(n), spec.h, axis=0)
-            self._coef.append(along_x(dfit, w))
-            del w  # keeps the peak at one intermediate
-            self._coef.append(along_x(fit, along_y(dfit)))
-
-    def __call__(self, x, y) -> list:
-        """Values at the points (x[p], y[p]): one array (..., P) per fitted
-        quantity, i.e. [values] or [values, d/dx, d/dy]."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        p, n = len(x), len(self._t) - 4
-        ex = BSpline.design_matrix(x, self._t, 3)  # 4 entries per row
-        ey = BSpline.design_matrix(y, self._t, 3)
-        cols = ex.indices.reshape(p, 4, 1) * n + ey.indices.reshape(p, 1, 4)
-        data = ex.data.reshape(p, 4, 1) * ey.data.reshape(p, 1, 4)
-        rows = sp.csr_matrix(
-            (data.ravel(), cols.ravel(), np.arange(0, 16 * p + 1, 16)), shape=(p, n * n)
-        )
-        return [(rows @ c).T.reshape(self._batch + (p,)) for c in self._coef]
+    w = along_y(fit)
+    out = [evaluate(fit, w)]
+    if gradient:
+        dfit = fit @ np.gradient(np.eye(n), spec.h, axis=0)
+        out.append(evaluate(dfit, w))
+        del w  # keeps the peak at one intermediate
+        out.append(evaluate(fit, along_y(dfit)))
+    return out
 
 
 @dataclass
@@ -204,24 +201,27 @@ def _subcell_average(config, xs, ys, h, background, ns=16):
     """Material coefficients averaged over h x h patches centered on a grid.
 
     Volume-fraction averaging smears the staircase error of piecewise-constant
-    media over material interfaces; away from interfaces it is exact.
+    media over material interfaces; away from interfaces it is exact.  The
+    ns x ns subsamples of a patch lie within 15 sqrt(2) h / 32 of its centre,
+    so a patch whose centre is more than h / sqrt(2) from every material
+    boundary (host, and defects unless `background`) is uniform and takes its
+    centre value.  Only the narrow band of the remaining patches is
+    subsampled, so the cost grows with perimeter / h rather than area / h^2.
     Returns (a11, a12, a22, n) arrays of shape (len(ys), len(xs)).
     """
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
+    out = media.sample_grid(config, xs, ys, background)
+    shapes = [config.host.shape] + ([] if background else [d.shape for d in config.defects])
+    pts = np.stack(np.meshgrid(xs, ys), axis=-1)
+    near = np.min([s.boundary_distance(pts) for s in shapes], axis=0) <= h / math.sqrt(2)
+    iy, ix = np.nonzero(near)
     offs = h * ((np.arange(ns) + 0.5) / ns - 0.5)
-    # expand the x axis by all offsets at once; loop only over y offsets
-    xs_e = (xs[:, None] + offs[None, :]).ravel()
-    acc = None
-    for dy in offs:
-        vals = media.sample_grid(config, xs_e, ys + dy, background)
-        vals = [v.reshape(len(ys), len(xs), ns).sum(axis=2) for v in vals]
-        if acc is None:
-            acc = vals
-        else:
-            for a, v in zip(acc, vals):
-                a += v
-    return tuple(a / (ns * ns) for a in acc)
+    sub = media.sample_grid(config, xs[ix, None] + offs, ys[iy, None] + offs, background)
+    for a, v in zip(out, sub):
+        # x offsets summed first, then y offsets in sequence (cumsum keeps the order)
+        a[iy, ix] = v.sum(axis=2).cumsum(axis=1)[:, -1] / (ns * ns)
+    return out
 
 
 class FactorizedSystem:
@@ -465,7 +465,7 @@ def far_field(
     phi = 2 * np.pi * np.arange(m_quad) / m_quad
     cp, sp_ = np.cos(phi), np.sin(phi)
     yx, yy = r_ff * cp, r_ff * sp_
-    u, gx, gy = GridSampler(spec, field.values, gradient=True)(yx, yy)
+    u, gx, gy = sample_fields(spec, field.values, yx, yy, gradient=True)
     du = cp * gx + sp_ * gy
 
     xhat_x, xhat_y = np.cos(angles), np.sin(angles)

@@ -267,11 +267,11 @@ def tiny_simulation(tmp_path_factory):
     }
 
 
-def _reconstruct(paths, out, **override):
+def _reconstruct(paths, out, *flags, **override):
     p = {**paths, **override}
     return cli.main([
         "reconstruct", "--config", p["config"], "--out", str(out),
-        "--f0", p["f0"], "--fb", p["fb"], "--fields", p["fields"],
+        "--f0", p["f0"], "--fb", p["fb"], "--fields", p["fields"], *flags,
     ])
 
 
@@ -302,6 +302,12 @@ def test_reconstruct_rejects_config_wavenumber_mismatch(tiny_simulation, tmp_pat
     assert _reconstruct(tiny_simulation, tmp_path / "out", config=str(cfg)) == 4
     # the unaltered inputs reconstruct
     assert _reconstruct(tiny_simulation, tmp_path / "out") == 0
+
+
+def test_report_records_the_data_direction_count(tiny_simulation, tmp_path):
+    assert _reconstruct(tiny_simulation, tmp_path, "--directions", "16") == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["N"] == TINY_DOC["directions"]
 
 
 def test_config_error_exit_code(tmp_path):

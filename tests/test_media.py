@@ -197,6 +197,17 @@ def test_sample_grid_matches_pointwise(rng):
         assert n[iy, ix] == nn
 
 
+def test_sample_grid_batches_match_single_grids(rng):
+    cfg = _random_config(defects=[media.Defect(media.Circle((0, 0), 1.0), VOID, 1.0)])
+    xs = rng.uniform(-3, 3, (4, 7))
+    ys = rng.uniform(-3, 3, (4, 5))
+    batched = media.sample_grid(cfg, xs, ys)
+    assert all(v.shape == (4, 5, 7) for v in batched)
+    for b in range(4):
+        for got, want in zip(batched, media.sample_grid(cfg, xs[b], ys[b])):
+            assert np.array_equal(got[b], want)
+
+
 def test_background_agrees_outside_defects():
     cfg = _random_config(defects=[media.Defect(media.Circle((0, 0), 1.0), VOID, 1.0)])
     xs = np.linspace(-3, 3, 25)

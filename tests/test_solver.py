@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RectBivariateSpline
 from scipy.special import hankel1, jv
 
-from defectscan import media, solver
+from defectscan import cli, media, solver
 from defectscan.errors import (
     CircleOutOfBounds,
     ConfigInvalid,
@@ -143,6 +145,98 @@ def test_singular_operator_raises(homogeneous_system):
 
 
 # ---------------------------------------------------------------------------
+# coefficient sampling
+
+
+def _full_lattice_average(config, xs, ys, h, background, ns=16):
+    """Reference: every patch subsampled at ns x ns points, x offsets summed
+    first, then y offsets in sequence."""
+    offs = h * ((np.arange(ns) + 0.5) / ns - 0.5)
+    xs_e = (xs[:, None] + offs[None, :]).ravel()
+    acc = [0.0] * 4
+    for dy in offs:
+        vals = media.sample_grid(config, xs_e, ys + dy, background)
+        acc = [a + v.reshape(len(ys), len(xs), ns).sum(axis=2) for a, v in zip(acc, vals)]
+    return [a / (ns * ns) for a in acc]
+
+
+def _families(c, h):
+    """(xs, ys) of the x-face, y-face, cell-centre and node patch families."""
+    cf = c[:-1] + h / 2
+    return ((cf, c), (c, cf), (cf, cf), (c, c))
+
+
+def _uniform_scene():
+    # the host covers the whole grid, so no patch straddles an interface
+    host = media.HostRegion(media.Rectangle(-20, 20, -20, 20), media.SymTensor2(0.5, 0.1, 0.5), 3.0)
+    return media.MediaConfig(host, (), K), solver.GridSpec(2.0, 0.1, 12)
+
+
+@pytest.mark.parametrize("name", cli.bundled_config_names() + ["uniform"])
+def test_narrow_band_matches_full_lattice(name):
+    if name == "uniform":
+        config, spec = _uniform_scene()
+    else:
+        cfg = cli.load_run_config(name)
+        config, spec = cfg.media, cfg.grid
+    for background in (False, True):
+        for xs, ys in _families(spec.coords(), spec.h):
+            got = solver._subcell_average(config, xs, ys, spec.h, background)
+            want = _full_lattice_average(config, xs, ys, spec.h, background)
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g - w)) <= 1e-15
+
+
+coords = st.floats(-1.0, 1.0)
+sizes = st.floats(0.01, 1.2)  # down to a tenth of the smallest cell
+simple_shapes = st.one_of(
+    st.builds(media.Circle, st.tuples(coords, coords), sizes),
+    st.builds(media.Ellipse, st.tuples(coords, coords), sizes, sizes),
+    st.builds(lambda x, y, w, t: media.Rectangle(x, x + w, y, y + t), coords, coords, sizes, sizes),
+)
+shapes = st.one_of(
+    simple_shapes,
+    st.lists(simple_shapes, min_size=2, max_size=3).map(lambda m: media.Union(tuple(m))),
+)
+entries = st.floats(0.2, 3.0)
+tensors = st.builds(media.SymTensor2, entries, st.floats(-0.5, 0.5), entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    host=shapes, host_a=tensors,
+    defects=st.lists(st.tuples(shapes, tensors, entries), max_size=2),
+    h=st.sampled_from([0.1, 0.2, 0.35]), seed=st.integers(0, 2**32 - 1),
+)
+def test_narrow_band_property(host, host_a, defects, h, seed):
+    rng = np.random.default_rng(seed)
+    # boundary_distance is a lower bound: no point closer than it to p lies
+    # on the other side of the boundary
+    for shape in [host] + [d[0] for d in defects]:
+        bp = shape.boundary_points(64)
+        near = bp + rng.normal(0.0, 0.05, bp.shape)
+        p = np.vstack((rng.uniform(-2.5, 2.5, (200, 2)), near))
+        r = shape.boundary_distance(p) * rng.uniform(0.0, 0.999, len(p))
+        t = rng.uniform(0.0, 2 * np.pi, len(p))
+        q = p + r[:, None] * np.column_stack((np.cos(t), np.sin(t)))
+        assert np.array_equal(shape.contains(q), shape.contains(p))
+
+    config = media.MediaConfig(
+        media.HostRegion(host, host_a, 2.0),
+        tuple(media.Defect(s, a, complex(n, 0.1)) for s, a, n in defects), K,
+    )
+    c = np.arange(-1.5, 1.5 + h / 2, h)
+    for background in (False, True):
+        for xs, ys in _families(c, h):
+            got = solver._subcell_average(config, xs, ys, h, background)
+            want = _full_lattice_average(config, xs, ys, h, background)
+            for g, w in zip(got, want):
+                # band patches repeat the reference's arithmetic; a uniform
+                # patch's reference sum of 256 equal terms rounds up to ~8 ulp
+                np.testing.assert_allclose(g, w, rtol=16 * np.finfo(float).eps, atol=0)
+
+
+# ---------------------------------------------------------------------------
 # plane-wave solves
 
 
@@ -249,8 +343,8 @@ def test_grid_sampler_matches_per_field_splines(tiny_grid, rng):
     fields = rng.standard_normal((3, nn, nn)) + 1j * rng.standard_normal((3, nn, nn))
     x = rng.uniform(c[0], c[-1], 50)
     y = rng.uniform(c[0], c[-1], 50)
-    u, gx, gy = solver.GridSampler(spec, fields, gradient=True)(x, y)
-    (only,) = solver.GridSampler(spec, fields)(x, y)
+    u, gx, gy = solver.sample_fields(spec, fields, x, y, gradient=True)
+    (only,) = solver.sample_fields(spec, fields, x, y)
     assert np.array_equal(only, u)
 
     def reference(z):
