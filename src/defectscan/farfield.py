@@ -64,50 +64,41 @@ def direction_angles(n: int) -> np.ndarray:
 
 
 def extraction_radius(config: media.MediaConfig, spec: solver.GridSpec) -> float:
-    """Default far-field circle: midway between the host and 4h clear of the PML."""
-    return 0.5 * (media.bounding_radius(config.host.shape) + spec.half_extent - 4 * spec.h)
+    """Far-field circle midway between the host and 4h clear of the PML; the
+    host must fit inside L - 4h."""
+    host_radius = media.bounding_radius(config.host.shape)
+    r_ff = 0.5 * (host_radius + spec.half_extent - 4 * spec.h)
+    if not (host_radius < r_ff <= spec.half_extent - 4 * spec.h):
+        raise ConfigInvalid(
+            f"extraction radius {r_ff:g} must enclose the host ({host_radius:g}) "
+            f"and stay {4 * spec.h:g} clear of the PML"
+        )
+    return r_ff
 
 
 def assemble_far_field_matrix(
-    config: media.MediaConfig,
-    spec: solver.GridSpec,
-    which: str,
-    n_dirs: int,
-    keep_fields: bool = False,
-    r_ff: float | None = None,
-    m_quad: int = 256,
-    validate: bool = True,
-    system: solver.FactorizedSystem | None = None,
+    system: solver.FactorizedSystem, n_dirs: int, keep_fields: bool = False,
 ):
-    """One factorization (or the given `system` of the same medium), one
-    solve of all N plane-wave problems and one far-field extraction.
+    """One solve of all N plane-wave problems of a factorized medium and one
+    far-field extraction; k, the grid and the scene come from `system`.
 
     Returns (FarFieldMatrix, FieldSet or None); the retained fields are the
     total fields, used later for test-function evaluation.
     """
     if n_dirs % 2 or n_dirs < 8:
         raise ConfigInvalid("need an even number of directions, at least 8")
-    if system is None:
-        system = solver.assemble_system(spec, config, which, validate=validate)
-    host_radius = media.bounding_radius(config.host.shape)
-    r_max = spec.half_extent - 4 * spec.h
-    if r_ff is None:
-        r_ff = extraction_radius(config, spec)
-    if not (host_radius < r_ff <= r_max):
-        raise ConfigInvalid(
-            f"extraction radius {r_ff:g} must enclose the host ({host_radius:g}) "
-            f"and stay {4 * spec.h:g} clear of the PML"
-        )
+    spec, k = system.spec, system.k
+    r_ff = extraction_radius(system.config, spec)
     angles = direction_angles(n_dirs)
     dirs = np.column_stack((np.cos(angles), np.sin(angles)))
     scattered = solver.solve_plane_wave(system, dirs)
     # row j of the far fields belongs to incidence j: the matrix is its transpose
-    entries = solver.far_field(scattered, config.k, r_ff, angles, m_quad).values.T
-    ffm = FarFieldMatrix(config.k, angles, entries.copy())
+    entries = solver.far_field(spec, scattered, k, r_ff, angles).T
+    ffm = FarFieldMatrix(k, angles, entries.copy())
     if not keep_fields:
         return ffm, None
-    scattered.values += solver.incident_plane_wave(spec, config.k, dirs)  # total fields
-    return ffm, FieldSet(spec, config.k, angles, scattered.values)
+    scattered += solver.incident_plane_wave(spec, k, dirs)  # total fields
+    return ffm, FieldSet(spec, k, angles, scattered)
 
 
 def check_compatible(a, b):

@@ -161,12 +161,20 @@ def test_functions(
 # Picard indicator
 
 
+def kept_modes(lam: np.ndarray, floor_rel: float) -> np.ndarray:
+    """Eigenpairs the Picard series sums over: lambda_i >= floor_rel * lambda_1
+    and lambda_i > 0 (none when lambda_1 <= 0)."""
+    if lam.size == 0 or lam[0] <= 0.0:
+        return np.zeros(lam.shape, dtype=bool)
+    return (lam >= floor_rel * lam[0]) & (lam > 0)
+
+
 def picard_indicator(
     fs: FSharp, tf: TestFunctionSet, floor_rel: float = DEFAULT_FLOOR_REL,
 ):
-    """Indicator values X(z) = [sum_i |(phi_z, psi_i)|^2 / lambda_i]^{-1}.
+    """Indicator values X(z) = [sum_i |(phi_z, psi_i)|^2 / lambda_i]^{-1}
+    over the `kept_modes`.
 
-    The sum runs over eigenpairs with lambda_i >= floor_rel * lambda_1.
     Returns (values, no_defect_signal); with lambda_1 = 0 every value is the
     cap and the flag is set.
     """
@@ -176,8 +184,7 @@ def picard_indicator(
     p = tf.phi.shape[0]
     if lam.size == 0 or lam[0] <= 0.0:
         return np.full(p, INDICATOR_CAP), True
-    keep = lam >= max(floor_rel * lam[0], 0.0)
-    keep &= lam > 0
+    keep = kept_modes(lam, floor_rel)
     if not np.any(keep):
         raise EmptySpectrum("all eigenvalues fell below the Picard floor")
     psi = fs.eig.eigenvectors[:, keep]
@@ -227,8 +234,7 @@ def indicator_grid(
         tf = test_functions(fields, s, config, pts[mask_flat], use_adjoint=use_adjoint)
         vals, flag = picard_indicator(fs, tf, floor_rel)
         values[mask_flat] = vals
-    lam = fs.eig.eigenvalues
-    floored = int(np.sum(lam < floor_rel * lam[0])) if lam.size and lam[0] > 0 else len(lam)
+    floored = int(np.sum(~kept_modes(fs.eig.eigenvalues, floor_rel)))
     return IndicatorGrid(
         xs, ys, values.reshape(ny, nx), mask_flat.reshape(ny, nx), flag, floored
     )

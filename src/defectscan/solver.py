@@ -97,39 +97,6 @@ class GridSpec:
             raise ConfigInvalid(f"h {self.h:g} exceeds lambda_min/10 = {lam / 10:g}")
 
 
-def suggest_grid(
-    config: media.MediaConfig,
-    points_per_wavelength: float = 12.0,
-    margin: float = 1.5,
-    pml_cells: int = 16,
-    half_extent: float | None = None,
-    h_target: float | None = None,
-) -> GridSpec:
-    """Grid satisfying the resolution and extent invariants for a scene."""
-    if half_extent is None:
-        half_extent = margin * media.bounding_radius(config.host.shape)
-    if h_target is None:
-        h_target = config.min_wavelength() / points_per_wavelength
-    cells = int(math.ceil(2 * half_extent / h_target))
-    if cells % 2:
-        cells += 1
-    return GridSpec(half_extent, 2 * half_extent / cells, pml_cells)
-
-
-@dataclass
-class ComplexGridField:
-    """Complex scalar fields sampled on every grid node (row-major, [y, x]);
-    leading axes of `values` (..., n_nodes, n_nodes) index a stack of fields."""
-
-    spec: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        n = self.spec.n_nodes
-        if self.values.shape[-2:] != (n, n):
-            raise ConfigInvalid("field shape does not match grid")
-
-
 def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = False) -> list:
     """Tensor-product not-a-knot cubic splines through a stack of grid fields,
     evaluated at the points (x[p], y[p]).
@@ -175,15 +142,6 @@ def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = Fal
         del w  # keeps the peak at one intermediate
         out.append(evaluate(fit, along_y(dfit)))
     return out
-
-
-@dataclass
-class FarFieldVector:
-    """Far-field values over uniformly spaced observation angles."""
-
-    k: float
-    angles: np.ndarray
-    values: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -334,32 +292,28 @@ class FactorizedSystem:
         """(..., ni, ni) interior values -> (ni^2, batch) columns."""
         return np.asarray(b_interior, dtype=complex).reshape(-1, self.n_interior**2).T
 
-    def solve_grid(self, b_interior: np.ndarray) -> ComplexGridField:
+    def solve_grid(self, b_interior: np.ndarray) -> np.ndarray:
         """Solve for the interior unknowns of one right-hand side (ni, ni), or
-        a stack (..., ni, ni) in one call, and embed into the full node grid."""
+        a stack (..., ni, ni) in one call, and embed into the full node grid:
+        (..., n_nodes, n_nodes), row-major [y, x]."""
         ni, nn = self.n_interior, self.spec.n_nodes
         batch = np.shape(b_interior)[:-2]
         x = self._lu.solve(self._unknowns(b_interior))
         full = np.zeros(batch + (nn, nn), dtype=complex)
         full[..., 1:-1, 1:-1] = x.T.reshape(batch + (ni, ni))
-        return ComplexGridField(self.spec, full)
+        return full
 
-    def residual(self, field: ComplexGridField, b_interior: np.ndarray) -> float:
+    def residual(self, values: np.ndarray, b_interior: np.ndarray) -> float:
         """Relative residual ||A x - b|| / ||b|| over every field of the stack."""
-        x = self._unknowns(field.values[..., 1:-1, 1:-1])
+        x = self._unknowns(values[..., 1:-1, 1:-1])
         b = self._unknowns(b_interior)
         return float(np.linalg.norm(self.op @ x - b) / np.linalg.norm(b))
 
 
-def assemble_system(
-    spec: GridSpec, config: media.MediaConfig, which: str = "background",
-    validate: bool = True,
-) -> FactorizedSystem:
-    """Discretize and factorize one medium.  `validate=False` skips the grid
-    and containment invariants (verification scenes only)."""
-    if validate:
-        config.validate(spec.h)
-        spec.validate_for(config)
+def assemble_system(spec: GridSpec, config: media.MediaConfig, which: str) -> FactorizedSystem:
+    """Check the scene and grid invariants, then discretize and factorize one medium."""
+    config.validate(spec.h)
+    spec.validate_for(config)
     return FactorizedSystem(spec, config, which)
 
 
@@ -404,7 +358,7 @@ def plane_wave_rhs(system: FactorizedSystem, d) -> np.ndarray:
     return rhs
 
 
-def solve_plane_wave(system: FactorizedSystem, d) -> ComplexGridField:
+def solve_plane_wave(system: FactorizedSystem, d) -> np.ndarray:
     """Scattered fields for incident plane waves with unit directions d of
     shape (2,) or (..., 2), all solved in one multi-right-hand-side call."""
     d = np.asarray(d, dtype=float)
@@ -418,7 +372,7 @@ def incident_plane_wave(spec: GridSpec, k: float, d) -> np.ndarray:
     return _plane_wave(k, np.asarray(d, dtype=float), c, c)
 
 
-def solve_point_source(system: FactorizedSystem, z) -> ComplexGridField:
+def solve_point_source(system: FactorizedSystem, z) -> np.ndarray:
     """Approximate Green's function of the medium: discrete delta of total
     weight 1/h^2 spread bilinearly over the four nodes surrounding z (keeps
     the source centered at z itself).  Verification-quality only."""
@@ -448,12 +402,11 @@ def solve_point_source(system: FactorizedSystem, z) -> ComplexGridField:
 
 
 def far_field(
-    field: ComplexGridField, k: float, r_ff: float, angles, m_quad: int = 256,
-) -> FarFieldVector:
+    spec: GridSpec, values: np.ndarray, k: float, r_ff: float, angles, m_quad: int = 256,
+) -> np.ndarray:
     """Far-field patterns (..., len(angles)) of radiating grid fields
     (..., n, n) by the boundary-integral representation over the circle of
     radius r_ff (trapezoidal quadrature); one spline fit samples every field."""
-    spec = field.spec
     if m_quad < 256:
         raise ConfigInvalid("need at least 256 quadrature points")
     if not (0 < r_ff <= spec.half_extent - 4 * spec.h):
@@ -465,15 +418,14 @@ def far_field(
     phi = 2 * np.pi * np.arange(m_quad) / m_quad
     cp, sp_ = np.cos(phi), np.sin(phi)
     yx, yy = r_ff * cp, r_ff * sp_
-    u, gx, gy = sample_fields(spec, field.values, yx, yy, gradient=True)
+    u, gx, gy = sample_fields(spec, values, yx, yy, gradient=True)
     du = cp * gx + sp_ * gy
 
     xhat_x, xhat_y = np.cos(angles), np.sin(angles)
     phase = np.exp(-1j * k * (np.outer(xhat_x, yx) + np.outer(xhat_y, yy)))
     cos_xn = np.outer(xhat_x, cp) + np.outer(xhat_y, sp_)
     integral = u @ (-1j * k * cos_xn * phase).T - du @ phase.T
-    values = gamma2(k) * integral * (2 * np.pi * r_ff / m_quad)
-    return FarFieldVector(k, angles, values)
+    return gamma2(k) * integral * (2 * np.pi * r_ff / m_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +435,7 @@ def far_field(
 def mie_far_field(
     a: float, n: float, radius: float, k: float, d_angle: float, angles,
     extra_modes: int = 12,
-) -> FarFieldVector:
+) -> np.ndarray:
     """Far field of a plane wave scattered by the disc {|x| < radius} with
     interior coefficients (a I, n), by angular-mode matching.
 
@@ -506,5 +458,4 @@ def mie_far_field(
         b[m] = (k * jm_i * djm_e - a * kappa * djm_i * jm_e) / det
     rel = angles - d_angle
     series = b[0] + 2 * sum(b[m] * np.cos(m * rel) for m in range(1, mmax + 1))
-    values = math.sqrt(2 / (np.pi * k)) * np.exp(-1j * np.pi / 4) * series
-    return FarFieldVector(k, angles, values)
+    return math.sqrt(2 / (np.pi * k)) * np.exp(-1j * np.pi / 4) * series

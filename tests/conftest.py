@@ -15,10 +15,11 @@ def ex1_cfg():
 def ex1_data(ex1_cfg):
     """(F0, Fb, background fields) for the circular-void reference scene."""
     f0, _ = farfield.assemble_far_field_matrix(
-        ex1_cfg.media, ex1_cfg.grid, "defective", ex1_cfg.n_dirs
+        solver.assemble_system(ex1_cfg.grid, ex1_cfg.media, "defective"), ex1_cfg.n_dirs
     )
     fb, fields = farfield.assemble_far_field_matrix(
-        ex1_cfg.media, ex1_cfg.grid, "background", ex1_cfg.n_dirs, keep_fields=True
+        solver.assemble_system(ex1_cfg.grid, ex1_cfg.media, "background"), ex1_cfg.n_dirs,
+        keep_fields=True,
     )
     return f0, fb, fields
 
@@ -53,7 +54,7 @@ def homogeneous_system():
     )
     cfg = media.MediaConfig(host, (), 1.0)
     spec = solver.GridSpec(3.0, 0.25, 12)
-    return solver.assemble_system(spec, cfg, "background", validate=False), cfg
+    return solver.assemble_system(spec, cfg, "background"), cfg
 
 
 @pytest.fixture

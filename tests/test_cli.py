@@ -310,6 +310,49 @@ def test_report_records_the_data_direction_count(tiny_simulation, tmp_path):
     assert report["N"] == TINY_DOC["directions"]
 
 
+def test_reconstruct_with_adjoint(tiny_simulation, tmp_path):
+    # S* in place of S^-1 in F# and in the test functions
+    assert _reconstruct(tiny_simulation, tmp_path, "--use-adjoint") == 0
+    rows = np.loadtxt(tmp_path / "indicator.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (15 * 15, 4) and np.all(np.isfinite(rows))
+    assert np.all(rows[rows[:, 3] == 1, 2] > 0)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert not report["no_defect_signal"]
+    assert report["contrast"]["overall"] > 1.0
+    assert _reconstruct(tiny_simulation, tmp_path / "inverse") == 0
+    default = np.loadtxt(tmp_path / "inverse" / "indicator.csv", delimiter=",", skiprows=1)
+    assert not np.array_equal(rows[:, 2], default[:, 2])
+
+
+def test_each_medium_is_factorized_once(tiny_config_path, tmp_path, monkeypatch):
+    built = []
+    assemble = solver.assemble_system
+
+    def counted(spec, config, which):
+        built.append(which)
+        return assemble(spec, config, which)
+
+    monkeypatch.setattr(solver, "assemble_system", counted)
+    assert cli.main(["simulate", "--config", tiny_config_path, "--out", str(tmp_path / "s")]) == 0
+    assert sorted(built) == ["background", "defective"]
+    built.clear()
+    # verify shares one background system between plane waves and point source
+    assert cli.main(["verify", "--config", tiny_config_path, "--out", str(tmp_path / "v")]) == 0
+    assert built == ["background"]
+
+
+def test_host_too_close_to_pml_exit_code(tmp_path, capsys):
+    # host radius 1.0 = L - 4h: the grid passes its own checks, but no
+    # far-field circle fits between the host and the PML
+    doc = json.loads(json.dumps(TINY_DOC))
+    doc["grid"] = {"half_extent": 1.5, "h": 0.125, "pml_cells": 8}
+    p = tmp_path / "tight.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid" and "extraction radius" in err["message"]
+
+
 def test_config_error_exit_code(tmp_path):
     assert cli.main(["simulate", "--config", "no_such", "--out", str(tmp_path)]) == 2
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RectBivariateSpline
 
 from defectscan import farfield, media, solver
@@ -18,7 +20,7 @@ def _mie_matrix(a, n_idx, n_dirs=32):
     ang = farfield.direction_angles(n_dirs)
     f = np.zeros((n_dirs, n_dirs), dtype=complex)
     for j, th in enumerate(ang):
-        f[:, j] = solver.mie_far_field(a, n_idx, 1.0, K, th, ang).values
+        f[:, j] = solver.mie_far_field(a, n_idx, 1.0, K, th, ang)
     return farfield.FarFieldMatrix(K, ang, f)
 
 
@@ -36,9 +38,7 @@ def test_matrix_shape_validation():
 
 def test_zero_contrast_background_matrix(homogeneous_system):
     system, cfg = homogeneous_system
-    f, fields = farfield.assemble_far_field_matrix(
-        cfg, system.spec, "background", 16, keep_fields=True, validate=False
-    )
+    f, fields = farfield.assemble_far_field_matrix(system, 16, keep_fields=True)
     assert np.max(np.abs(f.entries)) <= 1e-12
     # retained total fields are the incident plane waves
     d0 = solver.incident_plane_wave(system.spec, K, (1.0, 0.0))
@@ -69,10 +69,8 @@ def _reference_far_field(spec, u, k, r_ff, angles, m_quad=256):
 def test_far_field_matrix_matches_per_column_reference(tiny_cfg):
     n = 8
     spec = solver.GridSpec(2.0, 0.125, 8)
-    f, fields = farfield.assemble_far_field_matrix(
-        tiny_cfg, spec, "defective", n, keep_fields=True
-    )
     system = solver.assemble_system(spec, tiny_cfg, "defective")
+    f, fields = farfield.assemble_far_field_matrix(system, n, keep_fields=True)
     r_ff = farfield.extraction_radius(tiny_cfg, spec)
     ni, nn = system.n_interior, spec.n_nodes
     ref = np.zeros((n, n), dtype=complex)
@@ -88,11 +86,11 @@ def test_far_field_matrix_matches_per_column_reference(tiny_cfg):
 
 
 def test_direction_count_validation(homogeneous_system):
-    system, cfg = homogeneous_system
+    system, _ = homogeneous_system
     with pytest.raises(ConfigInvalid):
-        farfield.assemble_far_field_matrix(cfg, system.spec, "background", 15)
+        farfield.assemble_far_field_matrix(system, 15)
     with pytest.raises(ConfigInvalid):
-        farfield.assemble_far_field_matrix(cfg, system.spec, "background", 4)
+        farfield.assemble_far_field_matrix(system, 4)
 
 
 def test_reciprocity_of_assembled_matrix(ex1_data):
@@ -128,8 +126,8 @@ def test_rotationally_symmetric_scene_is_circulant():
         K,
     )
     spec = solver.GridSpec(3.0, 0.05, 16)
-    f0, _ = farfield.assemble_far_field_matrix(cfg, spec, "defective", 16)
-    fb, _ = farfield.assemble_far_field_matrix(cfg, spec, "background", 16)
+    f0, _ = farfield.assemble_far_field_matrix(solver.assemble_system(spec, cfg, "defective"), 16)
+    fb, _ = farfield.assemble_far_field_matrix(solver.assemble_system(spec, cfg, "background"), 16)
     f = farfield.relative_operator(f0, fb)
     n = f.n
     dev = max(
@@ -139,6 +137,60 @@ def test_rotationally_symmetric_scene_is_circulant():
         )
     )
     assert dev / np.abs(f.entries).max() <= 1e-3
+
+
+def _off_grid(lo, hi, step, shift):
+    """lo + i * step + shift: the shift keeps centres and radii off the h/32
+    lattice of sample points, away from round values that put a boundary
+    through one."""
+    return st.integers(0, round((hi - lo) / step)).map(lambda i: lo + i * step + shift)
+
+
+tensors = st.builds(media.SymTensor2, st.floats(0.5, 1.0), st.floats(-0.2, 0.2), st.floats(0.5, 1.0))
+
+
+@settings(max_examples=3, deadline=None)
+@given(
+    host_c=st.tuples(_off_grid(-0.2, 0.2, 0.05, 0.0123), _off_grid(-0.2, 0.2, 0.05, 0.0071)),
+    host_r=_off_grid(0.7, 0.9, 0.05, 0.0067),
+    host_a=tensors, host_n=st.floats(1.5, 3.0),
+    offset=st.tuples(_off_grid(-0.15, 0.15, 0.05, 0.0029), _off_grid(-0.15, 0.15, 0.05, 0.0043)),
+    defect_r=_off_grid(0.2, 0.35, 0.05, 0.0037),
+    defect_a=tensors, defect_n=st.floats(0.5, 2.0),
+)
+def test_quarter_turn_rolls_far_field_matrices(
+    host_c, host_r, host_a, host_n, offset, defect_r, defect_a, defect_n,
+):
+    # the grid is symmetric under x -> -y, y -> x, and the N directions are
+    # closed under a quarter turn: turning the scene rolls F0 and Fb by N/4
+    spec, n = solver.GridSpec(2.0, 0.125, 8), 8
+    defect_c = (host_c[0] + offset[0], host_c[1] + offset[1])
+
+    def scene(turn):
+        def c(p):
+            return (-p[1], p[0]) if turn else p
+
+        def t(a):
+            return media.SymTensor2(a.a22, -a.a12, a.a11) if turn else a
+
+        host = media.HostRegion(media.Circle(c(host_c), host_r), t(host_a), host_n)
+        defect = media.Defect(media.Circle(c(defect_c), defect_r), t(defect_a), complex(defect_n, 0.1))
+        return media.MediaConfig(host, (defect,), K)
+
+    for which in ("defective", "background"):
+        f, turned = (
+            farfield.assemble_far_field_matrix(solver.assemble_system(spec, scene(turn), which), n)[0]
+            for turn in (False, True)
+        )
+        rolled = np.roll(f.entries, (n // 4, n // 4), axis=(0, 1))
+        assert np.abs(turned.entries - rolled).max() <= 1e-12 * np.abs(f.entries).max()
+
+
+def test_host_must_clear_the_pml_by_4h(tiny_cfg, tiny_grid):
+    # host radius 1.0 = L - 4h: no extraction circle fits between host and PML
+    system = solver.assemble_system(tiny_grid, tiny_cfg, "background")
+    with pytest.raises(ConfigInvalid):
+        farfield.assemble_far_field_matrix(system, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,28 @@ def test_f_sharp_scaling_covariance(rng):
     assert np.array_equal(np.argsort(v1), np.argsort(v2))
 
 
+@settings(max_examples=20, deadline=None)
+@given(n=st.sampled_from([8, 16]), seed=st.integers(0, 2**32 - 1))
+def test_f_sharp_hermitian_psd_property(n, seed):
+    # any F with any unitary S: both preprocessings give a Hermitian PSD F#,
+    # and they agree since S^-1 = S* for unitary S
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s = farfield.ScatteringOperator(K, n, q, np.linalg.inv(q), 0.0)
+    f = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
+    sharps = []
+    for use_adjoint in (False, True):
+        fs = fm.f_sharp(f, s, use_adjoint=use_adjoint)
+        m = fs.matrix
+        assert np.array_equal(m, m.conj().T)
+        lam = np.linalg.eigvalsh(m)
+        assert lam[0] >= -1e-12 * lam[-1]
+        assert np.all(fs.eig.eigenvalues >= 0.0)
+        sharps.append(m)
+    assert np.abs(sharps[0] - sharps[1]).max() <= 1e-12 * np.abs(sharps[0]).max()
+
+
 def test_f_sharp_mismatch(ex1_data):
     f0, _, _ = ex1_data
     with pytest.raises(DimensionMismatch):
@@ -186,9 +208,7 @@ def test_f_sharp_mismatch(ex1_data):
 
 def test_test_functions_zero_contrast(homogeneous_system):
     system, cfg = homogeneous_system
-    _, fields = farfield.assemble_far_field_matrix(
-        cfg, system.spec, "background", 16, keep_fields=True, validate=False
-    )
+    _, fields = farfield.assemble_far_field_matrix(system, 16, keep_fields=True)
     s = _identity_operator(16)
     pts = np.array([[0.2, -0.3], [0.0, 0.5]])
     tf = fm.test_functions(fields, s, cfg, pts)
@@ -215,7 +235,7 @@ def test_test_functions_grid_shift_invariance(tiny_cfg):
     for L in (2.0, 2.0 + h / 2):
         spec = solver.GridSpec(L, h, 8)
         fb, fields = farfield.assemble_far_field_matrix(
-            tiny_cfg, spec, "background", 16, keep_fields=True
+            solver.assemble_system(spec, tiny_cfg, "background"), 16, keep_fields=True
         )
         s = farfield.scattering_operator(fb)
         tf = fm.test_functions(fields, s, tiny_cfg, [[0.2, -0.1]])
@@ -293,3 +313,16 @@ def test_indicator_grid_masks_outside(ex1_cfg, ex1_data, ex1_operator):
     assert np.all(grid.values[~grid.mask] == 0.0)
     assert np.all(grid.values[grid.mask] > 0.0)
     assert not grid.no_defect_signal
+
+
+def test_floored_modes_are_the_modes_the_series_drops(homogeneous_system):
+    # f_sharp clamps tiny negative eigenvalues to exact zeros; with floor 0 the
+    # series still drops such a mode, and the count reports it
+    system, cfg = homogeneous_system
+    _, fields = farfield.assemble_far_field_matrix(system, 16, keep_fields=True)
+    fs = _synthetic_fsharp([2.0**-i for i in range(15)] + [0.0])
+    assert np.count_nonzero(fm.kept_modes(fs.eig.eigenvalues, 0.0)) == 15
+    grid = fm.indicator_grid(
+        fs, fields, _identity_operator(16), cfg, (-0.5, 0.5, -0.5, 0.5), 5, 5, floor_rel=0.0
+    )
+    assert grid.floored_modes == 1
