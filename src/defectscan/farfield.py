@@ -97,7 +97,8 @@ def assemble_far_field_matrix(
     ffm = FarFieldMatrix(k, angles, entries.copy())
     if not keep_fields:
         return ffm, None
-    scattered += solver.incident_plane_wave(spec, k, dirs)  # total fields
+    for u, d in zip(scattered, dirs):  # one direction at a time: no second (N, n, n) stack
+        u += solver.incident_plane_wave(spec, k, d)  # total fields
     return ffm, FieldSet(spec, k, angles, scattered)
 
 

@@ -147,10 +147,8 @@ def _off_grid(lo, hi, step, shift):
 
 
 tensors = st.builds(media.SymTensor2, st.floats(0.5, 1.0), st.floats(-0.2, 0.2), st.floats(0.5, 1.0))
-
-
-@settings(max_examples=3, deadline=None)
-@given(
+# a random admissible scene on GridSpec(2.0, 0.125, 8): a circular host and a circular defect
+scene_params = dict(
     host_c=st.tuples(_off_grid(-0.2, 0.2, 0.05, 0.0123), _off_grid(-0.2, 0.2, 0.05, 0.0071)),
     host_r=_off_grid(0.7, 0.9, 0.05, 0.0067),
     host_a=tensors, host_n=st.floats(1.5, 3.0),
@@ -158,6 +156,10 @@ tensors = st.builds(media.SymTensor2, st.floats(0.5, 1.0), st.floats(-0.2, 0.2),
     defect_r=_off_grid(0.2, 0.35, 0.05, 0.0037),
     defect_a=tensors, defect_n=st.floats(0.5, 2.0),
 )
+
+
+@settings(max_examples=3, deadline=None)
+@given(**scene_params)
 def test_quarter_turn_rolls_far_field_matrices(
     host_c, host_r, host_a, host_n, offset, defect_r, defect_a, defect_n,
 ):
@@ -184,6 +186,39 @@ def test_quarter_turn_rolls_far_field_matrices(
         )
         rolled = np.roll(f.entries, (n // 4, n // 4), axis=(0, 1))
         assert np.abs(turned.entries - rolled).max() <= 1e-12 * np.abs(f.entries).max()
+
+
+def _lossless_scene(host_c, host_r, host_a, host_n, offset, defect_r, defect_a, defect_n):
+    host = media.HostRegion(media.Circle(host_c, host_r), host_a, host_n)
+    defect_c = (host_c[0] + offset[0], host_c[1] + offset[1])
+    defect = media.Defect(media.Circle(defect_c, defect_r), defect_a, complex(defect_n))
+    return media.MediaConfig(host, (defect,), K)
+
+
+scenes = st.builds(_lossless_scene, **scene_params)
+
+
+@settings(max_examples=5, deadline=None)
+@given(scene=scenes)
+def test_background_reciprocity_property(scene):
+    # the discrete operator is complex symmetric, so Fb is reciprocal up to the
+    # far-field extraction error; on this grid 30 random scenes measured at
+    # most 2.6e-3 (3.0e-3 for F0)
+    system = solver.assemble_system(solver.GridSpec(2.0, 0.125, 8), scene, "background")
+    fb, _ = farfield.assemble_far_field_matrix(system, 8)
+    assert farfield.reciprocity_defect(fb) <= 1e-2
+
+
+@settings(max_examples=5, deadline=None)
+@given(scene=scenes)
+def test_lossless_scattering_operator_is_unitary_property(scene):
+    # real coefficients absorb nothing, so S built from either medium's far
+    # fields is unitary up to discretization; on this grid 30 random scenes
+    # measured unitarity defects of at most 8.3e-4
+    spec = solver.GridSpec(2.0, 0.125, 8)
+    for which in ("defective", "background"):
+        f, _ = farfield.assemble_far_field_matrix(solver.assemble_system(spec, scene, which), 8)
+        assert farfield.scattering_operator(f).unitarity_defect <= 5e-3
 
 
 def test_host_must_clear_the_pml_by_4h(tiny_cfg, tiny_grid):
@@ -234,6 +269,21 @@ def test_noise_deterministic(ex1_data):
     assert np.array_equal(a.entries, b.entries)
     c = farfield.add_noise(f0, 0.02, seed=12)
     assert not np.array_equal(a.entries, c.entries)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([8, 16]), level=st.floats(1e-3, 0.5),
+    seed=st.integers(0, 2**63 - 2), data=st.integers(0, 2**32 - 1),
+)
+def test_noise_determinism_property(n, level, seed, data):
+    rng = np.random.default_rng(data)
+    entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    f = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
+    a = farfield.add_noise(f, level, seed)
+    assert np.array_equal(a.entries, farfield.add_noise(f, level, seed).entries)
+    assert not np.array_equal(a.entries, farfield.add_noise(f, level, seed + 1).entries)
+    assert np.all(np.abs(a.entries - f.entries) <= level * np.abs(f.entries) * (1 + 1e-12))
 
 
 def test_noise_norm_bound(ex1_data):
