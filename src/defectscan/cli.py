@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import farfield, fm, io, media, solver
 from .errors import (
@@ -162,6 +161,8 @@ def bundled_config_names() -> list:
 
 def _near_shape(shape, pts: np.ndarray, clearance: float) -> np.ndarray:
     """Points inside the shape or within `clearance` of its boundary."""
+    from scipy.spatial import cKDTree  # only reconstruct's contrast needs it
+
     dist, _ = cKDTree(shape.boundary_points(512)).query(pts, distance_upper_bound=clearance)
     return shape.contains(pts) | (dist < clearance)
 

@@ -14,7 +14,7 @@ class SchemaError(DefectScanError):
 
 
 class SingularSystem(DefectScanError):
-    """Sparse LU factorization hit a (near-)zero pivot."""
+    """Sparse LU factorization failed or the operator is numerically singular."""
 
 
 class PointInPml(DefectScanError):

@@ -7,7 +7,9 @@ PML collar.  The operator is complex symmetric (A = A^T, collar included), so
 each medium is factorized once by SuperLU in symmetric mode: a minimum-degree
 ordering of A + A^T and threshold pivoting at 0.1 that prefers the diagonal.
 That factorization solves the incident directions in blocks of BLOCK.  Far
-fields are extracted with the boundary-integral representation over a circle;
+fields are extracted with the boundary-integral representation over a circle,
+sampling the grid fields with a tensor-product not-a-knot cubic spline built
+in numpy (uniform B-splines, so the CLI need not import scipy.interpolate);
 an angular-mode series for the isotropic penetrable disc serves as the
 analytic oracle.
 """
@@ -19,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import BSpline, make_interp_spline
 from scipy.sparse.linalg import splu
-from scipy.special import h1vp, hankel1, jv, jvp
 
 from . import media
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
 )
 
 FACTOR_PROBE_TOL = 1e-10
-PIVOT_TOL = 1e-14
+PIVOT_TOL = 1e-14  # 1 / the largest condition number a factorization may show
 BLOCK = 8  # directions per solve call and fields per spline fit: small transients
 
 
@@ -101,42 +101,69 @@ class GridSpec:
             raise ConfigInvalid(f"h {self.h:g} exceeds lambda_min/10 = {lam / 10:g}")
 
 
+def _spline_fit(n: int) -> np.ndarray:
+    """(n + 2, n) matrix taking data at n uniform nodes to the coefficients of
+    its not-a-knot cubic spline in the uniform cubic B-spline basis.
+
+    Coefficient j weights the B-spline centred on node j - 1.  Rows: the
+    third derivative is continuous at the second and second-to-last nodes
+    (1, -4, 6, -4, 1), and the spline interpolates every node (1, 4, 1) / 6.
+    """
+    m = np.zeros((n + 2, n + 2))
+    m[1:-1] = (np.eye(n, n + 2) + 4 * np.eye(n, n + 2, 1) + np.eye(n, n + 2, 2)) / 6
+    m[0, :5] = m[-1, -5:] = (1, -4, 6, -4, 1)
+    return np.linalg.inv(m)[:, 1:-1]
+
+
+def _spline_rows(c: np.ndarray, h: float, x: np.ndarray):
+    """Coefficient indices (P, 4) and weights (P, 4) of the four B-splines
+    that are nonzero at each point x on the uniform nodes c (spacing h)."""
+    if not np.all((x >= c[0]) & (x <= c[-1])):
+        raise ConfigInvalid(f"sample points must lie in [{c[0]:g}, {c[-1]:g}]")
+    u = (x - c[0]) / h
+    span = np.clip(np.floor(u), 0, len(c) - 2)  # the last node closes the last span
+    t = (u - span)[:, None]
+    weights = np.hstack([
+        (1 - t) ** 3, 3 * t**3 - 6 * t**2 + 4, -3 * t**3 + 3 * t**2 + 3 * t + 1, t**3,
+    ]) / 6
+    return span.astype(int)[:, None] + np.arange(4), weights
+
+
 def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = False) -> list:
     """Tensor-product not-a-knot cubic splines through a stack of grid fields,
-    evaluated at the points (x[p], y[p]).
+    evaluated at the points (x[p], y[p]) of the node grid.
 
     Fits every field of `values` (..., n_nodes, n_nodes), indexed [y, x], at
     once and returns one array (..., P) per quantity: [values], or with
     `gradient=True` [values, d/dx, d/dy] of each field's np.gradient planes.
-    Fitting and np.gradient are linear, so each is an n x n matrix applied
-    along one axis and the gradient planes are never formed.  Evaluation is
-    a sparse row-Kronecker product of B-spline design rows; the fields are
+    Fitting and np.gradient are linear, so each is a matrix applied along
+    one axis and the gradient planes are never formed.  Evaluation is a
+    sparse row-Kronecker product of B-spline design rows; the fields are
     fitted BLOCK at a time, each quantity's coefficients evaluated and freed
-    before the next is formed.
+    before the next is formed.  Raises ConfigInvalid for a point off the grid.
     """
     c = spec.coords()
-    n = len(c)
+    n, nc = len(c), len(c) + 2  # nodes, coefficients per axis
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     values = np.ascontiguousarray(values, dtype=complex)
     batch, p = values.shape[:-2], len(x)
     zr = values.reshape(-1, n, n).view(float)  # real matrices act on (re, im) pairs
-    spline = make_interp_spline(c, np.eye(n), k=3)
-    fit = spline.c  # column j: coefficients of the spline through datum e_j
+    fit = _spline_fit(n)  # column j: coefficients of the spline through datum e_j
 
-    ex = BSpline.design_matrix(x, spline.t, 3)  # 4 entries per row
-    ey = BSpline.design_matrix(y, spline.t, 3)
-    cols = ex.indices.reshape(p, 4, 1) * n + ey.indices.reshape(p, 1, 4)
-    data = ex.data.reshape(p, 4, 1) * ey.data.reshape(p, 1, 4)
+    ix, wx = _spline_rows(c, spec.h, x)
+    iy, wy = _spline_rows(c, spec.h, y)
+    cols = ix.reshape(p, 4, 1) * nc + iy.reshape(p, 1, 4)
+    data = wx.reshape(p, 4, 1) * wy.reshape(p, 1, 4)
     rows = sp.csr_matrix(
-        (data.ravel(), cols.ravel(), np.arange(0, 16 * p + 1, 16)), shape=(p, n * n)
+        (data.ravel(), cols.ravel(), np.arange(0, 16 * p + 1, 16)), shape=(p, nc * nc)
     )
 
     def along_y(m, z):  # [field, y, x] -> [x, (a, field)], ready for the x fit
         return (m @ z).view(complex).transpose(2, 1, 0).copy().reshape(n, -1)
 
     def evaluate(m, w):  # x fit -> coefficients [(b, a), field] -> samples [field, p]
-        coef = (m @ w.view(float)).view(complex).reshape(n * n, -1)
+        coef = (m @ w.view(float)).view(complex).reshape(nc * nc, -1)
         return (rows @ coef).T
 
     dfit = fit @ np.gradient(np.eye(n), spec.h, axis=0) if gradient else None
@@ -281,17 +308,18 @@ class FactorizedSystem:
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SingularSystem(f"sparse LU failed: {exc}") from exc
         self.fill = self._lu.nnz  # entries of L + U stored by SuperLU
-        row_scale = np.max(np.abs(self.op).sum(axis=1))
-        if np.abs(self._lu.U.diagonal()).min() < PIVOT_TOL * row_scale:
-            raise SingularSystem("pivot magnitude below tolerance")
 
-        # residual probe on a deterministic random right-hand side
+        # probe solve on a deterministic random right-hand side.  ||A||_inf
+        # ||x||_inf / ||b||_inf is a lower bound on cond_inf(A); reading it
+        # here, not diag(U), keeps SuperLU from caching CSC copies of L and U
         n = self.op.shape[0]
         rng = np.random.default_rng(12345)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        self.probe_residual = float(
-            np.linalg.norm(self.op @ self._lu.solve(b) - b) / np.linalg.norm(b)
-        )
+        x = self._lu.solve(b)
+        row_scale = np.max(np.abs(self.op).sum(axis=1))
+        if row_scale * np.abs(x).max() > np.abs(b).max() / PIVOT_TOL:
+            raise SingularSystem(f"condition number above {1 / PIVOT_TOL:.0e}")
+        self.probe_residual = float(np.linalg.norm(self.op @ x - b) / np.linalg.norm(b))
         if self.probe_residual > FACTOR_PROBE_TOL:
             raise SingularSystem(
                 f"factorization probe residual {self.probe_residual:.2e} too large"
@@ -455,6 +483,8 @@ def mie_far_field(
     Matches u and a * du/dr at the rim; exterior modes H_m^(1)(kr), interior
     J_m(k_int r) with k_int = k sqrt(n / a).
     """
+    from scipy.special import h1vp, hankel1, jv, jvp  # the oracle's only user
+
     if a <= 0 or n <= 0 or radius <= 0:
         raise ConfigInvalid("disc parameters must be positive")
     angles = np.atleast_1d(np.asarray(angles, dtype=float))

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from defectscan import cli, farfield, io, solver
 from defectscan.errors import ConfigInvalid, SchemaError
 
-README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+README = os.path.join(ROOT, "README.md")
 
 TINY_DOC = {
     "schema": "run/1",
@@ -62,6 +65,21 @@ def test_bundled_configs_parse_and_validate():
         cfg = cli.load_run_config(name)
         cfg.media.validate(cfg.grid.h)
         cfg.grid.validate_for(cfg.media)
+
+
+def test_cli_import_loads_only_the_pipeline_modules():
+    # a fresh process, as every subcommand runs: the interpolation, spatial,
+    # special-function and optimization packages load only on first use
+    code = (
+        f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r}); "
+        "from defectscan import cli; cli.load_run_config('example1_circle'); "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(out.stdout.split())
+    assert {"scipy.sparse", "scipy.sparse.linalg", "scipy.linalg"} <= loaded
+    for heavy in ("scipy.interpolate", "scipy.spatial", "scipy.special", "scipy.optimize"):
+        assert heavy not in loaded
 
 
 def test_unknown_config_rejected():

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import RectBivariateSpline
+from scipy.interpolate import RectBivariateSpline, make_interp_spline
 from scipy.sparse.linalg import splu, spsolve
 from scipy.special import hankel1, jv
 
@@ -170,6 +170,23 @@ def test_singular_operator_raises(homogeneous_system):
     broken.op = sp.diags(tiny, format="csc")
     with pytest.raises(SingularSystem):
         broken._factorize()
+
+
+def test_badly_scaled_node_raises(ex1_cfg):
+    # D A D, D scaling one node by s: cond >= s^-2 cond(A) > 1 / PIVOT_TOL.  At
+    # the first node (a collar corner) and s = 1e-7 the smallest |diag(U)| is
+    # above 1e-14 ||A|| and the probe residual is 5e-12; only the condition
+    # bound rejects it
+    system = solver.assemble_system(ex1_cfg.grid, ex1_cfg.media, "background")
+    n = system.op.shape[0]
+    broken = solver.FactorizedSystem.__new__(solver.FactorizedSystem)
+    for node in (0, n // 2):
+        for s in (1e-7, 1e-10):
+            d = np.ones(n)
+            d[node] = s
+            broken.op = (sp.diags(d) @ system.op @ sp.diags(d)).tocsc()
+            with pytest.raises(SingularSystem, match="condition number"):
+                broken._factorize()
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +406,42 @@ def test_grid_sampler_matches_per_field_splines(tiny_grid, rng):
         ):
             want = reference(plane)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(plane).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(17, 80),
+    h=st.floats(0.01, 2.0),
+    c0=st.floats(-10.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_numpy_spline_matches_make_interp_spline(n, h, c0, seed):
+    # the 1-D pieces of sample_fields against scipy's not-a-knot cubic, for the
+    # values and for the spline through np.gradient (the far field's derivative)
+    rng = np.random.default_rng(seed)
+    c = c0 + h * np.arange(n)
+    data = rng.standard_normal(n)
+    x = np.concatenate([c, [c[0], c[-1]], rng.uniform(c[0], c[-1], 64)])
+    idx, w = solver._spline_rows(c, h, x)
+    fit = solver._spline_fit(n)
+    for coef, plane in (
+        (fit @ data, data),
+        (fit @ np.gradient(np.eye(n), h, axis=0) @ data, np.gradient(data, h)),
+    ):
+        got = (w * coef[idx]).sum(axis=1)
+        want = make_interp_spline(c, plane, k=3)(x)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(plane).max()
+
+
+def test_sampler_domain_is_the_node_grid(tiny_grid, rng):
+    spec = tiny_grid
+    c, nn = spec.coords(), spec.n_nodes
+    field = rng.standard_normal((nn, nn)) + 1j * rng.standard_normal((nn, nn))
+    (corner,) = solver.sample_fields(spec, field, [c[-1], c[0]], [c[-1], c[0]])
+    assert np.allclose(corner, [field[-1, -1], field[0, 0]], rtol=1e-13, atol=0)
+    for x, y in ((c[-1] + 1e-9, 0.0), (0.0, c[-1] + 1e-9), (c[0] - 1e-9, 0.0), (np.nan, 0.0)):
+        with pytest.raises(ConfigInvalid, match="sample points"):
+            solver.sample_fields(spec, field, x, y)
 
 
 # ---------------------------------------------------------------------------
