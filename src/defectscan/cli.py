@@ -18,40 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import farfield, fm, io, media, solver
-from .errors import (
-    CircleOutOfBounds,
-    ConfigInvalid,
-    DefectScanError,
-    DimensionMismatch,
-    EmptySpectrum,
-    MissingFields,
-    ModeSystemSingular,
-    NoConvergence,
-    NoDefectSignal,
-    NotHermitian,
-    PointInPml,
-    PointOutsideD,
-    SchemaError,
-    SingularScattering,
-    SingularSystem,
-)
-
-EXIT_CODES = {
-    ConfigInvalid: 2,
-    SchemaError: 2,
-    SingularSystem: 3,
-    PointInPml: 3,
-    CircleOutOfBounds: 3,
-    ModeSystemSingular: 3,
-    SingularScattering: 3,
-    NotHermitian: 3,
-    NoConvergence: 3,
-    DimensionMismatch: 4,
-    MissingFields: 4,
-    PointOutsideD: 4,
-    EmptySpectrum: 4,
-    NoDefectSignal: 5,
-}
+from .errors import ConfigInvalid, DefectScanError, DimensionMismatch, NoDefectSignal, SchemaError
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +37,13 @@ class RunConfig:
     lattice_bounds: tuple  # (x0, x1, y0, y1)
     use_adjoint: bool
     floor_rel: float
+
+    def __post_init__(self):
+        # config files and flag overrides both pass through here
+        if not 0.0 <= self.noise_level < float("inf"):
+            raise ConfigInvalid(f"noise level must be finite and >= 0, got {self.noise_level}")
+        if self.noise_seed < 0:
+            raise ConfigInvalid(f"noise seed must be >= 0, got {self.noise_seed}")
 
 
 def _tensor_from_dict(d: dict) -> media.SymTensor2:
@@ -178,15 +152,13 @@ def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig, cleara
         near_any |= _near_shape(d.shape, pts, clearance)
     outside = masked & ~near_any
     out_mean = float(np.mean(vals[outside])) if np.any(outside) else float("nan")
+    inside_each = [masked & d.shape.contains(pts) for d in scene.defects]
     per_defect = []
-    for d in scene.defects:
-        inside = masked & d.shape.contains(pts)
+    for inside in inside_each:
         in_mean = float(np.mean(vals[inside])) if np.any(inside) else float("nan")
         ratio = in_mean / out_mean if out_mean and np.isfinite(out_mean) else float("nan")
         per_defect.append({"inside_mean": in_mean, "outside_mean": out_mean, "contrast": ratio})
-    all_in = masked & np.any(
-        [d.shape.contains(pts) for d in scene.defects], axis=0
-    ) if scene.defects else np.zeros(len(pts), dtype=bool)
+    all_in = np.any(inside_each, axis=0) if inside_each else np.zeros(len(pts), dtype=bool)
     overall_in = float(np.mean(vals[all_in])) if np.any(all_in) else float("nan")
     overall = overall_in / out_mean if out_mean and np.isfinite(out_mean) else float("nan")
     return {"overall": overall, "per_defect": per_defect}
@@ -227,17 +199,16 @@ def cmd_reconstruct(
         f0 = farfield.add_noise(f0, cfg.noise_level, cfg.noise_seed)
     f = farfield.relative_operator(f0, fb)
     s = farfield.scattering_operator(fb)
-    fs = fm.f_sharp(f, s, use_adjoint=cfg.use_adjoint)
-    x0, x1, y0, y1 = cfg.lattice_bounds
+    _, lam, psi = fm.f_sharp(f, s, use_adjoint=cfg.use_adjoint)
     grid = fm.indicator_grid(
-        fs, fields, s, cfg.media, (x0, x1, y0, y1),
+        lam, psi, fields, s, cfg.media, cfg.lattice_bounds,
         cfg.lattice_nx, cfg.lattice_ny,
         floor_rel=cfg.floor_rel, use_adjoint=cfg.use_adjoint,
     )
 
     io.write_indicator_csv(os.path.join(out_dir, "indicator.csv"), grid)
     io.write_indicator_pgm(os.path.join(out_dir, "indicator.pgm"), grid)
-    io.write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"), fs.eig.eigenvalues)
+    io.write_spectrum_csv(os.path.join(out_dir, "spectrum.csv"), lam)
     report = {
         "schema": "report/1",
         "k": cfg.media.k,
@@ -383,7 +354,7 @@ def main(argv=None) -> int:
             return cmd_reconstruct(cfg, args.out, args.f0, args.fb, args.fields)
         return cmd_verify(cfg, args.out)
     except DefectScanError as exc:
-        code = EXIT_CODES.get(type(exc), 2)
+        code = exc.exit_code
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc), "exit_code": code}),
             file=sys.stderr,

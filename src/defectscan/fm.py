@@ -34,20 +34,9 @@ INDICATOR_CAP = 1e30
 # Hermitian eigen-machinery
 
 
-@dataclass
-class HermitianEigensystem:
-    """Real eigenvalues (descending) with orthonormal complex eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
-
-
-def hermitian_eig(m: np.ndarray) -> HermitianEigensystem:
-    """Eigensystem of a complex Hermitian matrix by LAPACK (np.linalg.eigh).
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lam, v) of a complex Hermitian matrix by LAPACK (np.linalg.eigh):
+    real eigenvalues descending, column i of v the orthonormal eigenvector of lam[i].
 
     F-sharp is defined by spectral calculus, so any backward-stable Hermitian
     eigensolver serves; the exactly symmetrized input keeps the spectrum real.
@@ -58,39 +47,35 @@ def hermitian_eig(m: np.ndarray) -> HermitianEigensystem:
         raise ConfigInvalid("matrix must be square")
     norm = np.linalg.norm(m)
     if norm == 0.0:
-        return HermitianEigensystem(np.zeros(n), np.eye(n, dtype=complex))
+        return np.zeros(n), np.eye(n, dtype=complex)
     if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * norm:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     try:
         lam, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
-    return HermitianEigensystem(lam[::-1].copy(), v[:, ::-1].copy())
+    return lam[::-1].copy(), v[:, ::-1].copy()
 
 
 def operator_abs(m: np.ndarray) -> np.ndarray:
     """Spectral absolute value sum |lambda_i| psi_i psi_i^*."""
-    eig = hermitian_eig(m)
-    return (eig.eigenvectors * np.abs(eig.eigenvalues)) @ eig.eigenvectors.conj().T
+    lam, v = hermitian_eig(m)
+    return (v * np.abs(lam)) @ v.conj().T
 
 
 # ---------------------------------------------------------------------------
 # F-sharp
 
 
-@dataclass
-class FSharp:
-    k: float
-    n: int
-    matrix: np.ndarray
-    eig: HermitianEigensystem
-
-
-def f_sharp(f: FarFieldMatrix, s: ScatteringOperator, use_adjoint: bool = False) -> FSharp:
+def f_sharp(
+    f: FarFieldMatrix, s: ScatteringOperator, use_adjoint: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F-sharp = |Re(F~)| + |Im(F~)| with F~ = gamma^{-1} B W F.
 
     B is S^{-1} (default) or, behind the switch, the adjoint S^*; W = (2pi/N) I
-    represents the quadrature of the continuous integral operator.
+    represents the quadrature of the continuous integral operator.  Returns
+    (matrix, lam, psi): F-sharp, its eigenvalues descending with numerical
+    negatives clamped to zero, and the paired eigenvectors as columns.
     """
     if f.n != s.n:
         raise DimensionMismatch("far-field matrix and scattering operator disagree in N")
@@ -102,24 +87,16 @@ def f_sharp(f: FarFieldMatrix, s: ScatteringOperator, use_adjoint: bool = False)
     im = (f_tilde - f_tilde.conj().T) / 2j
     sharp = operator_abs(re) + operator_abs(im)
     sharp = 0.5 * (sharp + sharp.conj().T)
-    eig = hermitian_eig(sharp)
-    lam = eig.eigenvalues
+    lam, psi = hermitian_eig(sharp)
     if lam.size and lam[0] > 0:
         lam = np.where(lam < 0, 0.0, lam)  # numerical negatives clamp to zero
     else:
         lam = np.zeros_like(lam)
-    eig = HermitianEigensystem(lam, eig.eigenvectors)
-    return FSharp(f.k, f.n, sharp, eig)
+    return sharp, lam, psi
 
 
 # ---------------------------------------------------------------------------
 # test functions via mixed reciprocity
-
-
-@dataclass
-class TestFunctionSet:
-    points: np.ndarray  # (P, 2)
-    phi: np.ndarray     # (P, N), row p = phi_{z_p}
 
 
 def reversed_incidence_samples(fields: FieldSet, points: np.ndarray) -> np.ndarray:
@@ -137,8 +114,8 @@ def test_functions(
     config: media.MediaConfig,
     points,
     use_adjoint: bool = False,
-) -> TestFunctionSet:
-    """phi_z = S^{-1} g_z with g_z[j] = gamma u_b(z, -x_hat_j)
+) -> np.ndarray:
+    """Rows phi_z = S^{-1} g_z, shape (P, N), with g_z[j] = gamma u_b(z, -x_hat_j)
     (see `reversed_incidence_samples`)."""
     if fields is None:
         raise MissingFields("background total fields were not retained")
@@ -153,8 +130,7 @@ def test_functions(
 
     g = reversed_incidence_samples(fields, points)
     b = s.S.conj().T if use_adjoint else s.S_inv
-    phi = (b @ g).T
-    return TestFunctionSet(points, phi)
+    return (b @ g).T
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +146,23 @@ def kept_modes(lam: np.ndarray, floor_rel: float) -> np.ndarray:
 
 
 def picard_indicator(
-    fs: FSharp, tf: TestFunctionSet, floor_rel: float = DEFAULT_FLOOR_REL,
+    lam: np.ndarray, psi: np.ndarray, phi: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL,
 ):
     """Indicator values X(z) = [sum_i |(phi_z, psi_i)|^2 / lambda_i]^{-1}
-    over the `kept_modes`.
+    over the `kept_modes`, for eigenpairs (lam, psi) of F-sharp and test
+    functions phi (P, N).
 
     Returns (values, no_defect_signal); with lambda_1 = 0 every value is the
     cap and the flag is set.
     """
     if not (0.0 <= floor_rel <= 1e-2):
         raise ConfigInvalid("floor_rel must lie in [0, 1e-2]")
-    lam = fs.eig.eigenvalues
-    p = tf.phi.shape[0]
     if lam.size == 0 or lam[0] <= 0.0:
-        return np.full(p, INDICATOR_CAP), True
+        return np.full(phi.shape[0], INDICATOR_CAP), True
     keep = kept_modes(lam, floor_rel)
     if not np.any(keep):
         raise EmptySpectrum("all eigenvalues fell below the Picard floor")
-    psi = fs.eig.eigenvectors[:, keep]
-    proj = np.abs(tf.phi.conj() @ psi) ** 2  # (P, kept)
+    proj = np.abs(phi.conj() @ psi[:, keep]) ** 2  # (P, kept)
     series = proj @ (1.0 / lam[keep])
     values = np.where(series > 0, 1.0 / np.maximum(series, 1.0 / INDICATOR_CAP), INDICATOR_CAP)
     return values, False
@@ -215,7 +189,8 @@ def sampling_lattice(bounds, nx: int, ny: int):
 
 
 def indicator_grid(
-    fs: FSharp,
+    lam: np.ndarray,
+    psi: np.ndarray,
     fields: FieldSet | None,
     s: ScatteringOperator,
     config: media.MediaConfig,
@@ -225,16 +200,18 @@ def indicator_grid(
     floor_rel: float = DEFAULT_FLOOR_REL,
     use_adjoint: bool = False,
 ) -> IndicatorGrid:
-    """Evaluate the indicator on a lattice restricted to the host interior."""
+    """Evaluate the indicator on a lattice restricted to the host interior,
+    which at least one lattice point must reach."""
+    if nx < 1 or ny < 1:
+        raise ConfigInvalid("sampling lattice needs nx, ny >= 1")
     xs, ys, pts = sampling_lattice(bounds, nx, ny)
     mask_flat = config.host.shape.contains(pts)
+    if not np.any(mask_flat):
+        raise ConfigInvalid("no sampling lattice point lies inside the host D")
     values = np.zeros(nx * ny)
-    flag = True
-    if np.any(mask_flat):
-        tf = test_functions(fields, s, config, pts[mask_flat], use_adjoint=use_adjoint)
-        vals, flag = picard_indicator(fs, tf, floor_rel)
-        values[mask_flat] = vals
-    floored = int(np.sum(~kept_modes(fs.eig.eigenvalues, floor_rel)))
+    phi = test_functions(fields, s, config, pts[mask_flat], use_adjoint=use_adjoint)
+    values[mask_flat], flag = picard_indicator(lam, psi, phi, floor_rel)
+    floored = int(np.sum(~kept_modes(lam, floor_rel)))
     return IndicatorGrid(
         xs, ys, values.reshape(ny, nx), mask_flat.reshape(ny, nx), flag, floored
     )

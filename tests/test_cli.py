@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from defectscan import cli, farfield, io, solver
+from defectscan import cli, errors, farfield, io, solver
 from defectscan.errors import ConfigInvalid, SchemaError
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -116,6 +116,22 @@ def test_flag_overrides(tiny_config_path, tmp_path):
     assert cfg.floor_rel == 1e-8
     assert cfg.grid.h == 0.25
     assert cfg.n_dirs == 16
+
+
+@pytest.mark.parametrize("noise", [{"level": -0.5}, {"level": 0.01, "seed": -1}])
+def test_bad_noise_settings_exit_2(tiny_config_path, tmp_path, capsys, noise):
+    # from the config file and from the flags: exit 2 with the JSON error line
+    doc = json.loads(json.dumps(TINY_DOC))
+    doc["noise"] = noise
+    p = tmp_path / "noisy.json"
+    p.write_text(json.dumps(doc))
+    flags = ["--noise", str(noise["level"]), "--seed", str(noise.get("seed", 0))]
+    for argv in (["--config", str(p)], ["--config", tiny_config_path, *flags]):
+        assert cli.main(["reconstruct", *argv, "--out", str(tmp_path / "out")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid" and err["exit_code"] == 2
+        assert "noise" in err["message"]
+    assert not os.path.exists(tmp_path / "out" / "report.json")
 
 
 def test_readme_json_blocks_parse():
@@ -271,6 +287,36 @@ def test_reconstruct_exit_codes(tiny_config_path, tmp_path):
     ]) == 2
 
 
+def test_lattice_outside_d_exits_2_before_any_output(tiny_simulation, tmp_path, capsys):
+    for bounds, nx in (([1.5, 2.0, -0.5, 0.5], 15), ([-1.0, 1.0, -1.0, 1.0], 0)):
+        doc = json.loads(json.dumps(TINY_DOC))
+        doc["lattice"] = {"nx": nx, "ny": 15, "bounds": bounds}
+        cfg = tmp_path / "lattice.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / f"out{nx}"
+        assert _reconstruct(tiny_simulation, out, config=str(cfg)) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
+        assert os.listdir(out) == []
+
+
+def test_noisy_reconstruct_and_verify_deterministic(tiny_simulation, tmp_path):
+    # two rounds into the same directories in one process: every output repeats
+    # byte for byte
+    rounds = []
+    for _ in range(2):
+        assert _reconstruct(tiny_simulation, tmp_path, "--noise", "0.02", "--seed", "5") == 0
+        assert cli.main([
+            "verify", "--config", tiny_simulation["config"], "--out", str(tmp_path / "verify"),
+        ]) == 0
+        rounds.append({
+            name: (tmp_path / name).read_bytes()
+            for name in ("indicator.csv", "indicator.pgm", "spectrum.csv", "report.json",
+                         "verify/report.json")
+        })
+    assert rounds[0] == rounds[1]
+    assert json.loads(rounds[0]["report.json"])["noise"] == {"level": 0.02, "seed": 5}
+
+
 @pytest.fixture(scope="module")
 def tiny_simulation(tmp_path_factory):
     """Paths of the tiny scene's config and simulate outputs."""
@@ -369,6 +415,32 @@ def test_host_too_close_to_pml_exit_code(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigInvalid" and "extraction radius" in err["message"]
+
+
+# the exit status README documents for each error: 2 bad input, 3 numerical
+# failure, 4 inconsistent inputs, 5 no defect signature
+EXIT_CODES = {
+    "ConfigInvalid": 2, "SchemaError": 2,
+    "SingularSystem": 3, "PointInPml": 3, "CircleOutOfBounds": 3, "ModeSystemSingular": 3,
+    "SingularScattering": 3, "NotHermitian": 3, "NoConvergence": 3,
+    "DimensionMismatch": 4, "MissingFields": 4, "PointOutsideD": 4, "EmptySpectrum": 4,
+    "NoDefectSignal": 5,
+}
+
+
+def test_every_error_class_has_a_documented_exit_code():
+    assert set(EXIT_CODES) == {c.__name__ for c in errors.DefectScanError.__subclasses__()}
+
+
+@pytest.mark.parametrize("name, code", sorted(EXIT_CODES.items()))
+def test_error_exit_codes(tiny_config_path, tmp_path, monkeypatch, capsys, name, code):
+    def fail(cfg, out_dir):
+        raise getattr(errors, name)("injected")
+
+    monkeypatch.setattr(cli, "cmd_simulate", fail)
+    assert cli.main(["simulate", "--config", tiny_config_path, "--out", str(tmp_path)]) == code
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": name, "message": "injected", "exit_code": code}
 
 
 def test_config_error_exit_code(tmp_path):

@@ -32,30 +32,28 @@ def _identity_operator(n=16):
 
 
 def test_eig_identity():
-    eig = fm.hermitian_eig(np.eye(4, dtype=complex))
-    assert np.allclose(eig.eigenvalues, 1.0)
+    lam, v = fm.hermitian_eig(np.eye(4, dtype=complex))
+    assert np.allclose(lam, 1.0)
     # eigenvectors orthonormal; spanning the same space as the canonical basis
-    v = eig.eigenvectors
     assert np.allclose(v.conj().T @ v, np.eye(4), atol=1e-12)
 
 
 def test_eig_diagonal():
-    eig = fm.hermitian_eig(np.diag([3.0, -1.0]).astype(complex))
-    assert np.allclose(eig.eigenvalues, [3.0, -1.0])
+    lam, _ = fm.hermitian_eig(np.diag([3.0, -1.0]).astype(complex))
+    assert np.allclose(lam, [3.0, -1.0])
 
 
 def test_eig_random_reconstruction(rng):
     m = _random_hermitian(rng, 16)
-    eig = fm.hermitian_eig(m)
-    rec = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
+    lam, v = fm.hermitian_eig(m)
+    rec = (v * lam) @ v.conj().T
     assert np.linalg.norm(rec - m) <= 1e-9 * np.linalg.norm(m)
-    v = eig.eigenvectors
     assert np.abs(v.conj().T @ v - np.eye(16)).max() <= 1e-10
     # residual per pair
     for i in range(16):
-        r = m @ v[:, i] - eig.eigenvalues[i] * v[:, i]
+        r = m @ v[:, i] - lam[i] * v[:, i]
         assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(m)
-    assert np.all(np.diff(eig.eigenvalues) <= 0)
+    assert np.all(np.diff(lam) <= 0)
 
 
 def test_eig_rejects_non_hermitian(rng):
@@ -76,17 +74,17 @@ def test_eig_lapack_failure_maps_to_no_convergence(monkeypatch):
 
 
 def test_eig_zero_matrix():
-    eig = fm.hermitian_eig(np.zeros((5, 5), dtype=complex))
-    assert np.all(eig.eigenvalues == 0.0)
+    lam, _ = fm.hermitian_eig(np.zeros((5, 5), dtype=complex))
+    assert np.all(lam == 0.0)
 
 
 @given(st.integers(2, 12), st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_eig_matches_lapack_spectrum(n, seed):
     m = _random_hermitian(np.random.default_rng(seed), n)
-    eig = fm.hermitian_eig(m)
+    lam, _ = fm.hermitian_eig(m)
     ref = np.sort(np.linalg.eigvalsh(m))[::-1]
-    assert np.allclose(eig.eigenvalues, ref, atol=1e-9 * max(1.0, np.linalg.norm(m)))
+    assert np.allclose(lam, ref, atol=1e-9 * max(1.0, np.linalg.norm(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +119,9 @@ def test_f_sharp_zero():
     s = _identity_operator()
     f = farfield.FarFieldMatrix(K, farfield.direction_angles(16),
                                 np.zeros((16, 16), dtype=complex))
-    fs = fm.f_sharp(f, s)
-    assert np.all(fs.matrix == 0.0)
-    assert np.all(fs.eig.eigenvalues == 0.0)
+    mat, lam, _ = fm.f_sharp(f, s)
+    assert np.all(mat == 0.0)
+    assert np.all(lam == 0.0)
 
 
 def test_f_sharp_hermitian_psd_input(rng):
@@ -134,24 +132,23 @@ def test_f_sharp_hermitian_psd_input(rng):
     h = m @ m.conj().T
     entries = solver.gamma2(K) * (n / (2 * np.pi)) * h
     f = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
-    fs = fm.f_sharp(f, s)
-    assert np.linalg.norm(fs.matrix - h) <= 1e-9 * np.linalg.norm(h)
+    mat, _, _ = fm.f_sharp(f, s)
+    assert np.linalg.norm(mat - h) <= 1e-9 * np.linalg.norm(h)
 
 
 def test_f_sharp_is_hermitian_psd(ex1_data, ex1_operator):
     f0, fb, _ = ex1_data
     f = farfield.relative_operator(f0, fb)
-    fs = fm.f_sharp(f, ex1_operator)
-    assert np.linalg.norm(fs.matrix - fs.matrix.conj().T) <= 1e-12 * np.linalg.norm(fs.matrix)
-    assert np.all(fs.eig.eigenvalues >= 0.0)
-    assert fs.eig.eigenvalues[0] > 0
+    mat, lam, _ = fm.f_sharp(f, ex1_operator)
+    assert np.linalg.norm(mat - mat.conj().T) <= 1e-12 * np.linalg.norm(mat)
+    assert np.all(lam >= 0.0)
+    assert lam[0] > 0
 
 
 def test_f_sharp_spectrum_decay(ex1_data, ex1_operator):
     # regression baseline: many orders of decay between extreme eigenvalues
     f0, fb, _ = ex1_data
-    fs = fm.f_sharp(farfield.relative_operator(f0, fb), ex1_operator)
-    lam = fs.eig.eigenvalues
+    _, lam, _ = fm.f_sharp(farfield.relative_operator(f0, fb), ex1_operator)
     assert lam[-1] <= 1e-6 * lam[0]
 
 
@@ -161,15 +158,13 @@ def test_f_sharp_scaling_covariance(rng):
     entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     f1 = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
     f2 = farfield.FarFieldMatrix(K, farfield.direction_angles(n), 2.5 * entries)
-    fs1 = fm.f_sharp(f1, s)
-    fs2 = fm.f_sharp(f2, s)
-    assert np.allclose(fs2.eig.eigenvalues, 2.5 * fs1.eig.eigenvalues,
-                       atol=1e-10 * fs1.eig.eigenvalues[0])
+    _, lam1, psi1 = fm.f_sharp(f1, s)
+    _, lam2, psi2 = fm.f_sharp(f2, s)
+    assert np.allclose(lam2, 2.5 * lam1, atol=1e-10 * lam1[0])
     # indicator values scale, ranking is invariant
     phi = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
-    tf = fm.TestFunctionSet(np.zeros((6, 2)), phi)
-    v1, _ = fm.picard_indicator(fs1, tf)
-    v2, _ = fm.picard_indicator(fs2, tf)
+    v1, _ = fm.picard_indicator(lam1, psi1, phi)
+    v2, _ = fm.picard_indicator(lam2, psi2, phi)
     assert np.allclose(v2, 2.5 * v1, rtol=1e-9)
     assert np.array_equal(np.argsort(v1), np.argsort(v2))
 
@@ -186,12 +181,12 @@ def test_f_sharp_hermitian_psd_property(n, seed):
     f = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
     sharps = []
     for use_adjoint in (False, True):
-        fs = fm.f_sharp(f, s, use_adjoint=use_adjoint)
-        m = fs.matrix
+        m, lam, _ = fm.f_sharp(f, s, use_adjoint=use_adjoint)
         assert np.array_equal(m, m.conj().T)
-        lam = np.linalg.eigvalsh(m)
-        assert lam[0] >= -1e-12 * lam[-1]
-        assert np.all(fs.eig.eigenvalues >= 0.0)
+        # PSD before the clamp to zero
+        pre = np.linalg.eigvalsh(m)
+        assert pre[0] >= -1e-12 * pre[-1]
+        assert np.all(lam >= 0.0)
         sharps.append(m)
     assert np.abs(sharps[0] - sharps[1]).max() <= 1e-12 * np.abs(sharps[0]).max()
 
@@ -211,9 +206,10 @@ def test_test_functions_zero_contrast(homogeneous_system):
     _, fields = farfield.assemble_far_field_matrix(system, 16, keep_fields=True)
     s = _identity_operator(16)
     pts = np.array([[0.2, -0.3], [0.0, 0.5]])
-    tf = fm.test_functions(fields, s, cfg, pts)
+    phi = fm.test_functions(fields, s, cfg, pts)
+    assert phi.shape == (2, 16)
     ang = farfield.direction_angles(16)
-    for p, row in zip(pts, tf.phi):
+    for p, row in zip(pts, phi):
         expected = solver.gamma2(K) * np.exp(
             -1j * K * (np.cos(ang) * p[0] + np.sin(ang) * p[1])
         )
@@ -238,8 +234,7 @@ def test_test_functions_grid_shift_invariance(tiny_cfg):
             solver.assemble_system(spec, tiny_cfg, "background"), 16, keep_fields=True
         )
         s = farfield.scattering_operator(fb)
-        tf = fm.test_functions(fields, s, tiny_cfg, [[0.2, -0.1]])
-        phis.append(tf.phi[0])
+        phis.append(fm.test_functions(fields, s, tiny_cfg, [[0.2, -0.1]])[0])
     diff = np.linalg.norm(phis[0] - phis[1]) / np.linalg.norm(phis[0])
     assert diff <= 1e-2
 
@@ -248,66 +243,59 @@ def test_test_functions_grid_shift_invariance(tiny_cfg):
 # Picard indicator
 
 
-def _synthetic_fsharp(lams):
+def _synthetic_eigenpairs(lams):
+    """(lam, psi): the given spectrum with random orthonormal eigenvectors."""
     n = len(lams)
     rng = np.random.default_rng(42)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(m)
-    mat = (q * np.asarray(lams)) @ q.conj().T
-    fs = fm.f_sharp  # not used; construct directly
-    eig = fm.HermitianEigensystem(np.asarray(lams, float), q)
-    return fm.FSharp(K, n, mat, eig)
+    return np.asarray(lams, float), q
 
 
 def test_picard_single_mode():
-    fs = _synthetic_fsharp([4.0, 1.0, 0.25, 0.0625])
-    phi = fs.eig.eigenvectors[:, 0][None, :]  # (phi, psi_1) = 1
-    tf = fm.TestFunctionSet(np.zeros((1, 2)), phi)
-    vals, flag = fm.picard_indicator(fs, tf)
+    lam, psi = _synthetic_eigenpairs([4.0, 1.0, 0.25, 0.0625])
+    phi = psi[:, 0][None, :]  # (phi, psi_1) = 1
+    vals, flag = fm.picard_indicator(lam, psi, phi)
     assert not flag
     assert vals[0] == pytest.approx(4.0)
 
 
 def test_picard_orthogonal_point_capped():
-    fs = _synthetic_fsharp([4.0, 1.0])
-    tf = fm.TestFunctionSet(np.zeros((1, 2)), np.zeros((1, 2), dtype=complex))
-    vals, flag = fm.picard_indicator(fs, tf)
+    lam, psi = _synthetic_eigenpairs([4.0, 1.0])
+    vals, flag = fm.picard_indicator(lam, psi, np.zeros((1, 2), dtype=complex))
     assert not flag
     assert vals[0] == fm.INDICATOR_CAP
 
 
 def test_picard_phase_invariance(rng):
-    fs = _synthetic_fsharp([4.0, 1.0, 0.25, 0.0625])
+    lam, psi = _synthetic_eigenpairs([4.0, 1.0, 0.25, 0.0625])
     phi = rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4))
-    tf1 = fm.TestFunctionSet(np.zeros((1, 2)), phi)
-    tf2 = fm.TestFunctionSet(np.zeros((1, 2)), np.exp(1.3j) * phi)
-    v1, _ = fm.picard_indicator(fs, tf1)
-    v2, _ = fm.picard_indicator(fs, tf2)
+    v1, _ = fm.picard_indicator(lam, psi, phi)
+    v2, _ = fm.picard_indicator(lam, psi, np.exp(1.3j) * phi)
     assert v1[0] == pytest.approx(v2[0], rel=1e-12)
 
 
 def test_picard_no_signal_flag():
-    fs = _synthetic_fsharp([0.0, 0.0])
-    tf = fm.TestFunctionSet(np.zeros((2, 2)), np.ones((2, 2), dtype=complex))
-    vals, flag = fm.picard_indicator(fs, tf)
+    lam, psi = _synthetic_eigenpairs([0.0, 0.0])
+    vals, flag = fm.picard_indicator(lam, psi, np.ones((2, 2), dtype=complex))
     assert flag
     assert np.all(vals == fm.INDICATOR_CAP)
 
 
 def test_picard_floor_validation():
-    fs = _synthetic_fsharp([1.0])
-    tf = fm.TestFunctionSet(np.zeros((1, 2)), np.ones((1, 1), dtype=complex))
+    lam, psi = _synthetic_eigenpairs([1.0])
+    phi = np.ones((1, 1), dtype=complex)
     with pytest.raises(ConfigInvalid):
-        fm.picard_indicator(fs, tf, floor_rel=0.5)
+        fm.picard_indicator(lam, psi, phi, floor_rel=0.5)
     with pytest.raises(ConfigInvalid):
-        fm.picard_indicator(fs, tf, floor_rel=-1e-3)
+        fm.picard_indicator(lam, psi, phi, floor_rel=-1e-3)
 
 
 def test_indicator_grid_masks_outside(ex1_cfg, ex1_data, ex1_operator):
     f0, fb, fields = ex1_data
-    fs = fm.f_sharp(farfield.relative_operator(f0, fb), ex1_operator)
+    _, lam, psi = fm.f_sharp(farfield.relative_operator(f0, fb), ex1_operator)
     grid = fm.indicator_grid(
-        fs, fields, ex1_operator, ex1_cfg.media, (-3, 3, -3, 3), 31, 31
+        lam, psi, fields, ex1_operator, ex1_cfg.media, (-3, 3, -3, 3), 31, 31
     )
     assert grid.values.shape == (31, 31)
     assert np.all(grid.values[~grid.mask] == 0.0)
@@ -320,9 +308,19 @@ def test_floored_modes_are_the_modes_the_series_drops(homogeneous_system):
     # series still drops such a mode, and the count reports it
     system, cfg = homogeneous_system
     _, fields = farfield.assemble_far_field_matrix(system, 16, keep_fields=True)
-    fs = _synthetic_fsharp([2.0**-i for i in range(15)] + [0.0])
-    assert np.count_nonzero(fm.kept_modes(fs.eig.eigenvalues, 0.0)) == 15
+    lam, psi = _synthetic_eigenpairs([2.0**-i for i in range(15)] + [0.0])
+    assert np.count_nonzero(fm.kept_modes(lam, 0.0)) == 15
     grid = fm.indicator_grid(
-        fs, fields, _identity_operator(16), cfg, (-0.5, 0.5, -0.5, 0.5), 5, 5, floor_rel=0.0
+        lam, psi, fields, _identity_operator(16), cfg, (-0.5, 0.5, -0.5, 0.5), 5, 5, floor_rel=0.0
     )
     assert grid.floored_modes == 1
+
+
+@pytest.mark.parametrize("bounds, nx", [((1.5, 2.5, -0.5, 0.5), 5), ((-0.5, 0.5, -0.5, 0.5), -1)])
+def test_indicator_grid_rejects_a_lattice_outside_d(homogeneous_system, bounds, nx):
+    # a lattice with no point inside the host has nothing to reconstruct on
+    system, cfg = homogeneous_system
+    _, fields = farfield.assemble_far_field_matrix(system, 16, keep_fields=True)
+    lam, psi = _synthetic_eigenpairs([2.0**-i for i in range(16)])
+    with pytest.raises(ConfigInvalid):
+        fm.indicator_grid(lam, psi, fields, _identity_operator(16), cfg, bounds, nx, 5)

@@ -172,29 +172,46 @@ def test_min_wavelength_formula():
 # coefficient sampling
 
 
+def _pointwise_coefficients(config, p, background=False):
+    """Reference: coefficients (SymTensor2, complex n) of the medium at one point,
+    with the defects ignored when `background`; outside D they are (I, 1)."""
+    pt = np.asarray(p, dtype=float).reshape(1, 2)
+    if not background:
+        for d in config.defects:
+            if bool(d.shape.contains(pt)[0]):
+                return d.A0, complex(d.n0)
+    if bool(config.host.shape.contains(pt)[0]):
+        return config.host.A, complex(config.host.n)
+    return media.SymTensor2.identity(), 1.0 + 0.0j
+
+
+def _grid_coefficients_at(config, p, background=False):
+    """sample_grid on the one-point grid at p, as (a11, a12, a22, n) scalars."""
+    return tuple(v[0, 0] for v in media.sample_grid(config, [p[0]], [p[1]], background))
+
+
 def test_sample_coefficients_piecewise():
     cfg = _random_config(defects=[media.Defect(media.Circle((0, 0), 1.0), VOID, 1.0)])
-    a, n = media.sample_coefficients(cfg, (10.0, 10.0))
-    assert a == media.SymTensor2.identity() and n == 1.0
-    a, n = media.sample_coefficients(cfg, (1.5, 1.5))
-    assert a == media.SymTensor2(0.5, 0.0, 0.5) and n == 3.0
-    a, n = media.sample_coefficients(cfg, (0.0, 0.0))
-    assert a == media.SymTensor2.identity() and n == 1.0
+    # outside D, in the host, in the defect
+    assert _grid_coefficients_at(cfg, (10.0, 10.0)) == (1.0, 0.0, 1.0, 1.0)
+    assert _grid_coefficients_at(cfg, (1.5, 1.5)) == (0.5, 0.0, 0.5, 3.0)
+    assert _grid_coefficients_at(cfg, (0.0, 0.0)) == (1.0, 0.0, 1.0, 1.0)
     # background sampling ignores the defect
-    a, n = media.sample_coefficients(cfg, (0.0, 0.0), background=True)
-    assert a == media.SymTensor2(0.5, 0.0, 0.5) and n == 3.0
+    assert _grid_coefficients_at(cfg, (0.0, 0.0), background=True) == (0.5, 0.0, 0.5, 3.0)
 
 
 def test_sample_grid_matches_pointwise(rng):
     cfg = _random_config(defects=[media.Defect(media.Circle((0, 0), 1.0), VOID, 1.0)])
     xs = np.linspace(-3, 3, 13)
     ys = np.linspace(-3, 3, 11)
-    a11, a12, a22, n = media.sample_grid(cfg, xs, ys)
-    for _ in range(30):
-        ix, iy = rng.integers(13), rng.integers(11)
-        t, nn = media.sample_coefficients(cfg, (xs[ix], ys[iy]))
-        assert a11[iy, ix] == t.cmat()[0, 0]
-        assert n[iy, ix] == nn
+    for background in (False, True):
+        a11, a12, a22, n = media.sample_grid(cfg, xs, ys, background=background)
+        for _ in range(30):
+            ix, iy = rng.integers(13), rng.integers(11)
+            t, nn = _pointwise_coefficients(cfg, (xs[ix], ys[iy]), background=background)
+            c = t.cmat()
+            assert (a11[iy, ix], a12[iy, ix], a22[iy, ix]) == (c[0, 0], c[0, 1], c[1, 1])
+            assert n[iy, ix] == nn
 
 
 def test_sample_grid_batches_match_single_grids(rng):
@@ -243,6 +260,24 @@ def test_assumptions_anisotropic_tensors():
     assert rep.defects[0].branch == "a_minus_a0"
     ref = np.linalg.eigvalsh(A.real() - A0.real()).min()
     assert rep.defects[0].min_eig_a_minus_re_a0 == pytest.approx(ref, abs=1e-12)
+
+
+def test_assumption_margins_match_the_pointwise_loop():
+    # the reference: each margin is the minimum over the 200 interior samples
+    # of the background tensor found at that sample
+    A = media.SymTensor2(0.6022, 0.1591, 0.7478)
+    A0 = media.SymTensor2(0.1673, -0.0308, 0.2030)
+    for d in (media.Defect(media.Ellipse((0.5, 1.0), 0.5, 0.3), A0, 3.0),
+              media.Defect(media.Circle((0, 0), 1.0), VOID, 1.0)):
+        cfg = _random_config(A=A, defects=[d])
+        fwd, bwd = np.inf, np.inf
+        for p in media.interior_points(d.shape, 200):
+            a = _pointwise_coefficients(cfg, p, background=True)[0].real()
+            m1, m2 = d.A0.real() - a, a - d.A0.real()
+            fwd = min(fwd, media.sym_eigvals(m1[0, 0], m1[0, 1], m1[1, 1])[0])
+            bwd = min(bwd, media.sym_eigvals(m2[0, 0], m2[0, 1], m2[1, 1])[0])
+        got = media.validate_assumptions(cfg).defects[0]
+        assert (got.min_eig_re_a0_minus_a, got.min_eig_a_minus_re_a0) == (fwd, bwd)
 
 
 def test_assumptions_zero_contrast_violated():
