@@ -35,7 +35,6 @@ class RunConfig:
     lattice_nx: int
     lattice_ny: int
     lattice_bounds: tuple  # (x0, x1, y0, y1)
-    use_adjoint: bool
     floor_rel: float
 
     def __post_init__(self):
@@ -65,8 +64,11 @@ def _complex_from(v) -> complex:
 
 
 def parse_run_config(doc: dict) -> RunConfig:
-    if doc.get("schema") != "run/1":
-        raise SchemaError("run configuration must declare schema run/1")
+    if not isinstance(doc, dict) or doc.get("schema") != "run/1":
+        raise SchemaError("run configuration must be an object declaring schema run/1")
+    if doc.get("use_adjoint", False) is not False:
+        # F# and the test functions use S^-1 only; the key may only say false
+        raise SchemaError(f"use_adjoint is no longer supported, got {doc['use_adjoint']!r}")
     try:
         host = media.HostRegion(
             media.shape_from_dict(doc["host"]["shape"]),
@@ -89,10 +91,12 @@ def parse_run_config(doc: dict) -> RunConfig:
         )
         noise = doc.get("noise", {})
         lat = doc.get("lattice", {})
+        if not (isinstance(noise, dict) and isinstance(lat, dict)):
+            raise SchemaError("noise and lattice must be JSON objects")
         bounds = lat.get("bounds")
-        if bounds is None:
-            x0, x1, y0, y1 = host.shape.bbox()
-            bounds = [x0, x1, y0, y1]
+        bounds = tuple(float(b) for b in (host.shape.bbox() if bounds is None else bounds))
+        if len(bounds) != 4:
+            raise SchemaError(f"lattice bounds need 4 entries [x0, x1, y0, y1], got {len(bounds)}")
         return RunConfig(
             media=scene,
             grid=grid,
@@ -101,8 +105,7 @@ def parse_run_config(doc: dict) -> RunConfig:
             noise_seed=int(noise.get("seed", 0)),
             lattice_nx=int(lat.get("nx", 81)),
             lattice_ny=int(lat.get("ny", 81)),
-            lattice_bounds=tuple(float(b) for b in bounds),
-            use_adjoint=bool(doc.get("use_adjoint", False)),
+            lattice_bounds=bounds,
             floor_rel=float(doc.get("floor_rel", fm.DEFAULT_FLOOR_REL)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -112,11 +115,11 @@ def parse_run_config(doc: dict) -> RunConfig:
 def load_run_config(name_or_path: str) -> RunConfig:
     """Load a run configuration from a path or a bundled example name."""
     if os.path.exists(name_or_path):
-        with open(name_or_path, "rb") as fh:
-            try:
+        try:
+            with open(name_or_path, "rb") as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{name_or_path}: invalid JSON ({exc})") from exc
+        except (OSError, ValueError) as exc:  # a directory, non-UTF-8 bytes, bad JSON
+            raise SchemaError(f"{name_or_path}: not readable as JSON ({exc})") from exc
         return parse_run_config(doc)
     res = importlib.resources.files("defectscan") / "configs" / f"{name_or_path}.json"
     if res.is_file():
@@ -133,23 +136,22 @@ def bundled_config_names() -> list:
 # contrast statistic
 
 
-def _near_shape(shape, pts: np.ndarray, clearance: float) -> np.ndarray:
-    """Points inside the shape or within `clearance` of its boundary."""
+CONTRAST_CLEARANCE = 0.2  # "away from a defect": farther than this from its boundary
+
+
+def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig):
+    """Per-defect and overall mean indicator contrast inside vs. away from defects."""
     from scipy.spatial import cKDTree  # only reconstruct's contrast needs it
 
-    dist, _ = cKDTree(shape.boundary_points(512)).query(pts, distance_upper_bound=clearance)
-    return shape.contains(pts) | (dist < clearance)
-
-
-def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig, clearance: float = 0.2):
-    """Per-defect and overall mean indicator contrast inside vs. away from defects."""
     xx, yy = np.meshgrid(grid.xs, grid.ys)
     pts = np.column_stack((xx.ravel(), yy.ravel()))
     masked = grid.mask.ravel()
     vals = grid.values.ravel()
     near_any = np.zeros(len(pts), dtype=bool)
     for d in scene.defects:
-        near_any |= _near_shape(d.shape, pts, clearance)
+        tree = cKDTree(d.shape.boundary_points(512))
+        dist, _ = tree.query(pts, distance_upper_bound=CONTRAST_CLEARANCE)
+        near_any |= d.shape.contains(pts) | (dist < CONTRAST_CLEARANCE)
     outside = masked & ~near_any
     out_mean = float(np.mean(vals[outside])) if np.any(outside) else float("nan")
     inside_each = [masked & d.shape.contains(pts) for d in scene.defects]
@@ -199,11 +201,10 @@ def cmd_reconstruct(
         f0 = farfield.add_noise(f0, cfg.noise_level, cfg.noise_seed)
     f = farfield.relative_operator(f0, fb)
     s = farfield.scattering_operator(fb)
-    _, lam, psi = fm.f_sharp(f, s, use_adjoint=cfg.use_adjoint)
+    _, lam, psi = fm.f_sharp(f, s)
     grid = fm.indicator_grid(
         lam, psi, fields, s, cfg.media, cfg.lattice_bounds,
-        cfg.lattice_nx, cfg.lattice_ny,
-        floor_rel=cfg.floor_rel, use_adjoint=cfg.use_adjoint,
+        cfg.lattice_nx, cfg.lattice_ny, floor_rel=cfg.floor_rel,
     )
 
     io.write_indicator_csv(os.path.join(out_dir, "indicator.csv"), grid)
@@ -215,7 +216,7 @@ def cmd_reconstruct(
         "N": f0.n,
         "noise": {"level": cfg.noise_level, "seed": cfg.noise_seed},
         "unitarity_defect": s.unitarity_defect,
-        "assumptions": media.validate_assumptions(cfg.media, h=cfg.grid.h).to_dict(),
+        "assumptions": media.validate_assumptions(cfg.media, h=cfg.grid.h),
         "floored_modes": grid.floored_modes,
         "no_defect_signal": grid.no_defect_signal,
         "contrast": contrast_statistics(grid, cfg.media),
@@ -296,8 +297,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg = replace(cfg, noise_level=float(args.noise))
     if args.seed is not None:
         cfg = replace(cfg, noise_seed=int(args.seed))
-    if args.use_adjoint:
-        cfg = replace(cfg, use_adjoint=True)
     if args.floor is not None:
         cfg = replace(cfg, floor_rel=float(args.floor))
     if args.grid_h is not None:
@@ -329,8 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--noise", type=float, default=None, help="override noise level")
         p.add_argument("--seed", type=int, default=None, help="override noise seed")
-        p.add_argument("--use-adjoint", action="store_true",
-                       help="use S* instead of S^-1 in the preprocessing")
         p.add_argument("--floor", type=float, default=None,
                        help="override relative eigenvalue floor")
         p.add_argument("--grid-h", type=float, default=None, help="override grid spacing")

@@ -67,13 +67,12 @@ def operator_abs(m: np.ndarray) -> np.ndarray:
 # F-sharp
 
 
-def f_sharp(
-    f: FarFieldMatrix, s: ScatteringOperator, use_adjoint: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F-sharp = |Re(F~)| + |Im(F~)| with F~ = gamma^{-1} B W F.
+def f_sharp(f: FarFieldMatrix, s: ScatteringOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F-sharp = |Re(F~)| + |Im(F~)| with F~ = gamma^{-1} S^{-1} W F.
 
-    B is S^{-1} (default) or, behind the switch, the adjoint S^*; W = (2pi/N) I
-    represents the quadrature of the continuous integral operator.  Returns
+    W = (2pi/N) I represents the quadrature of the continuous integral
+    operator.  For a unitary S, S^{-1} = S^*: an operator whose `S_inv` slot
+    holds S^* gives the adjoint preprocessing.  Returns
     (matrix, lam, psi): F-sharp, its eigenvalues descending with numerical
     negatives clamped to zero, and the paired eigenvectors as columns.
     """
@@ -81,8 +80,7 @@ def f_sharp(
         raise DimensionMismatch("far-field matrix and scattering operator disagree in N")
     if abs(f.k - s.k) > 1e-12 * max(f.k, s.k):
         raise DimensionMismatch("wavenumber mismatch")
-    b = s.S.conj().T if use_adjoint else s.S_inv
-    f_tilde = (1.0 / solver.gamma2(f.k)) * (b @ ((2 * np.pi / f.n) * f.entries))
+    f_tilde = (1.0 / solver.gamma2(f.k)) * (s.S_inv @ ((2 * np.pi / f.n) * f.entries))
     re = 0.5 * (f_tilde + f_tilde.conj().T)
     im = (f_tilde - f_tilde.conj().T) / 2j
     sharp = operator_abs(re) + operator_abs(im)
@@ -113,7 +111,6 @@ def test_functions(
     s: ScatteringOperator,
     config: media.MediaConfig,
     points,
-    use_adjoint: bool = False,
 ) -> np.ndarray:
     """Rows phi_z = S^{-1} g_z, shape (P, N), with g_z[j] = gamma u_b(z, -x_hat_j)
     (see `reversed_incidence_samples`)."""
@@ -128,9 +125,7 @@ def test_functions(
     if n % 2:
         raise ConfigInvalid("direction set must be closed under negation (N even)")
 
-    g = reversed_incidence_samples(fields, points)
-    b = s.S.conj().T if use_adjoint else s.S_inv
-    return (b @ g).T
+    return (s.S_inv @ reversed_incidence_samples(fields, points)).T
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +193,6 @@ def indicator_grid(
     nx: int,
     ny: int,
     floor_rel: float = DEFAULT_FLOOR_REL,
-    use_adjoint: bool = False,
 ) -> IndicatorGrid:
     """Evaluate the indicator on a lattice restricted to the host interior,
     which at least one lattice point must reach."""
@@ -209,7 +203,7 @@ def indicator_grid(
     if not np.any(mask_flat):
         raise ConfigInvalid("no sampling lattice point lies inside the host D")
     values = np.zeros(nx * ny)
-    phi = test_functions(fields, s, config, pts[mask_flat], use_adjoint=use_adjoint)
+    phi = test_functions(fields, s, config, pts[mask_flat])
     values[mask_flat], flag = picard_indicator(lam, psi, phi, floor_rel)
     floored = int(np.sum(~kept_modes(lam, floor_rel)))
     return IndicatorGrid(

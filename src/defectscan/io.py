@@ -56,9 +56,9 @@ def read_ffm(path: str) -> FarFieldMatrix:
     try:
         with open(path, "rb") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"{path}: not readable as JSON ({exc})") from exc
-    if doc.get("schema") != "ffm/1":
+    if not isinstance(doc, dict) or doc.get("schema") != "ffm/1":
         raise SchemaError(f"{path}: expected schema ffm/1")
     try:
         n = int(doc["N"])
@@ -102,9 +102,9 @@ def read_fields(path: str) -> FieldSet:
             line = fh.readline()
             raw = fh.read()
         header = json.loads(line)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SchemaError(f"{path}: unreadable fields file ({exc})") from exc
-    if header.get("schema") != "fields/1":
+    if not isinstance(header, dict) or header.get("schema") != "fields/1":
         raise SchemaError(f"{path}: expected schema fields/1")
     try:
         g = header["grid"]

@@ -9,7 +9,7 @@ complex.  Coefficients are piecewise constant per region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import ConfigInvalid
 # Verdict threshold for "uniformly positive": eigenvalues closer to zero than
 # this are reported as indeterminate rather than satisfied/violated.
 DEFINITENESS_TOL = 1e-12
+ASSUMPTION_SAMPLES = 200  # interior points per defect in `validate_assumptions`
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,8 @@ class SymTensor2:
 
     @property
     def is_real(self) -> bool:
-        return self.i11 == 0.0 and self.i12 == 0.0 and self.i22 == 0.0
+        # a tuple comparison is a Python bool even for numpy entries
+        return (self.i11, self.i12, self.i22) == (0.0, 0.0, 0.0)
 
     @staticmethod
     def identity() -> "SymTensor2":
@@ -255,18 +257,6 @@ def shape_from_dict(d: dict):
     raise ConfigInvalid(f"unknown shape type {kind!r}")
 
 
-def shape_to_dict(s) -> dict:
-    if isinstance(s, Circle):
-        return {"type": "circle", "center": list(s.center), "radius": s.radius}
-    if isinstance(s, Ellipse):
-        return {"type": "ellipse", "center": list(s.center), "semi_a": s.semi_a, "semi_b": s.semi_b}
-    if isinstance(s, Rectangle):
-        return {"type": "rectangle", "xmin": s.xmin, "xmax": s.xmax, "ymin": s.ymin, "ymax": s.ymax}
-    if isinstance(s, Union):
-        return {"type": "union", "members": [shape_to_dict(m) for m in s.members]}
-    raise ConfigInvalid(f"unknown shape {s!r}")
-
-
 # low-discrepancy Kronecker lattice (plastic-constant R2 sequence); used for
 # deterministic interior sampling
 _PLASTIC = 1.324717957244746
@@ -405,35 +395,6 @@ def sample_grid(config: MediaConfig, xs, ys, background: bool = False):
 # hypothesis validation
 
 
-@dataclass
-class DefectAssumptions:
-    min_eig_re_a0_minus_a: float
-    min_eig_a_minus_re_a0: float
-    im_a0_zero: bool
-    im_n0_zero: bool
-    branch: str | None
-    alpha: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "min_eig_re_a0_minus_a": self.min_eig_re_a0_minus_a,
-            "min_eig_a_minus_re_a0": self.min_eig_a_minus_re_a0,
-            "im_a0_zero": self.im_a0_zero,
-            "im_n0_zero": self.im_n0_zero,
-            "branch": self.branch,
-            "alpha": self.alpha,
-        }
-
-
-@dataclass
-class AssumptionReport:
-    defects: list = field(default_factory=list)
-    verdict: str = "indeterminate"
-
-    def to_dict(self) -> dict:
-        return {"verdict": self.verdict, "defects": [d.to_dict() for d in self.defects]}
-
-
 def _min_eig(m: np.ndarray):
     return sym_eigvals(m[0, 0], m[0, 1], m[1, 1])[0]
 
@@ -449,22 +410,22 @@ def _alpha_branch(a_re_diff: np.ndarray, re_a0: np.ndarray, abs_im: np.ndarray):
     return best
 
 
-def validate_assumptions(config: MediaConfig, samples: int = 200, h: float = 0.05) -> AssumptionReport:
+def validate_assumptions(config: MediaConfig, h: float = 0.05) -> dict:
     """Check the definiteness hypotheses of the range-test theorem per defect.
 
     Samples quasi-random points inside each defect (coefficients are piecewise
     constant, but the check is pointwise by contract: every background tensor
     met at the samples is checked) and reports which hypothesis branch holds.
+    Returns {"verdict": "satisfied" | "violated" | "indeterminate", "defects":
+    [one dict of margins, flags, branch and alpha per defect]}, JSON-ready.
     Raises ConfigInvalid if the basic invariants fail.
     """
-    if samples < 100:
-        raise ConfigInvalid("need at least 100 validation samples")
     config.validate(h)
-    report = AssumptionReport()
+    defects = []
     any_violated = False
     any_indet = False
     for d in config.defects:
-        pts = interior_points(d.shape, samples)
+        pts = interior_points(d.shape, ASSUMPTION_SAMPLES)
         # the background tensor: the host's A inside D, I outside it
         in_host = config.host.shape.contains(pts)
         background = {
@@ -491,9 +452,14 @@ def validate_assumptions(config: MediaConfig, samples: int = 200, h: float = 0.0
                 branch = "absorbing_alpha"
             else:
                 alpha = None
-        report.defects.append(
-            DefectAssumptions(float(min_fwd), float(min_bwd), im_a0_zero, im_n0_zero, branch, alpha)
-        )
+        defects.append({
+            "min_eig_re_a0_minus_a": float(min_fwd),
+            "min_eig_a_minus_re_a0": float(min_bwd),
+            "im_a0_zero": im_a0_zero,
+            "im_n0_zero": im_n0_zero,
+            "branch": branch,
+            "alpha": alpha,
+        })
         if branch is None:
             # positive-but-tiny margins are undecidable in floating point;
             # anything <= 0 (e.g. zero contrast) is a plain violation
@@ -503,9 +469,9 @@ def validate_assumptions(config: MediaConfig, samples: int = 200, h: float = 0.0
             else:
                 any_violated = True
     if any_violated:
-        report.verdict = "violated"
+        verdict = "violated"
     elif any_indet or not config.defects:
-        report.verdict = "indeterminate"
+        verdict = "indeterminate"
     else:
-        report.verdict = "satisfied"
-    return report
+        verdict = "satisfied"
+    return {"verdict": verdict, "defects": defects}

@@ -35,6 +35,7 @@ from .errors import (
 FACTOR_PROBE_TOL = 1e-10
 PIVOT_TOL = 1e-14  # 1 / the largest condition number a factorization may show
 BLOCK = 8  # directions per solve call and fields per spline fit: small transients
+SUBCELLS = 16  # subsamples per patch side in `_subcell_average`
 
 
 def gamma2(k: float) -> complex:
@@ -189,12 +190,12 @@ def _stretch(coords, L, T, k, strength):
     return 1.0 + 1j * sigma / k
 
 
-def _subcell_average(config, xs, ys, h, background, ns=16):
+def _subcell_average(config, xs, ys, h, background):
     """Material coefficients averaged over h x h patches centered on a grid.
 
     Volume-fraction averaging smears the staircase error of piecewise-constant
     media over material interfaces; away from interfaces it is exact.  The
-    ns x ns subsamples of a patch lie within 15 sqrt(2) h / 32 of its centre,
+    SUBCELLS x SUBCELLS subsamples of a patch lie within 15 sqrt(2) h / 32 of its centre,
     so a patch whose centre is more than h / sqrt(2) from every material
     boundary (host, and defects unless `background`) is uniform and takes its
     centre value.  Only the narrow band of the remaining patches is
@@ -208,11 +209,11 @@ def _subcell_average(config, xs, ys, h, background, ns=16):
     pts = np.stack(np.meshgrid(xs, ys), axis=-1)
     near = np.min([s.boundary_distance(pts) for s in shapes], axis=0) <= h / math.sqrt(2)
     iy, ix = np.nonzero(near)
-    offs = h * ((np.arange(ns) + 0.5) / ns - 0.5)
+    offs = h * ((np.arange(SUBCELLS) + 0.5) / SUBCELLS - 0.5)
     sub = media.sample_grid(config, xs[ix, None] + offs, ys[iy, None] + offs, background)
     for a, v in zip(out, sub):
         # x offsets summed first, then y offsets in sequence (cumsum keeps the order)
-        a[iy, ix] = v.sum(axis=2).cumsum(axis=1)[:, -1] / (ns * ns)
+        a[iy, ix] = v.sum(axis=2).cumsum(axis=1)[:, -1] / (SUBCELLS * SUBCELLS)
     return out
 
 
@@ -228,7 +229,6 @@ class FactorizedSystem:
             raise ConfigInvalid("which must be 'background' or 'defective'")
         self.spec = spec
         self.config = config
-        self.which = which
         self.k = config.k
 
         c = spec.coords()

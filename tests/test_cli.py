@@ -105,14 +105,13 @@ def test_malformed_config_rejected(tmp_path):
 def test_flag_overrides(tiny_config_path, tmp_path):
     parser_args = [
         "simulate", "--config", tiny_config_path, "--out", str(tmp_path),
-        "--noise", "0.05", "--seed", "99", "--use-adjoint", "--floor", "1e-8",
+        "--noise", "0.05", "--seed", "99", "--floor", "1e-8",
         "--grid-h", "0.25", "--directions", "16",
     ]
     args = cli._build_parser().parse_args(parser_args)
     cfg = cli._apply_overrides(cli.load_run_config(args.config), args)
     assert cfg.noise_level == 0.05
     assert cfg.noise_seed == 99
-    assert cfg.use_adjoint
     assert cfg.floor_rel == 1e-8
     assert cfg.grid.h == 0.25
     assert cfg.n_dirs == 16
@@ -374,18 +373,52 @@ def test_report_records_the_data_direction_count(tiny_simulation, tmp_path):
     assert report["N"] == TINY_DOC["directions"]
 
 
-def test_reconstruct_with_adjoint(tiny_simulation, tmp_path):
-    # S* in place of S^-1 in F# and in the test functions
-    assert _reconstruct(tiny_simulation, tmp_path, "--use-adjoint") == 0
-    rows = np.loadtxt(tmp_path / "indicator.csv", delimiter=",", skiprows=1)
-    assert rows.shape == (15 * 15, 4) and np.all(np.isfinite(rows))
-    assert np.all(rows[rows[:, 3] == 1, 2] > 0)
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert not report["no_defect_signal"]
-    assert report["contrast"]["overall"] > 1.0
-    assert _reconstruct(tiny_simulation, tmp_path / "inverse") == 0
-    default = np.loadtxt(tmp_path / "inverse" / "indicator.csv", delimiter=",", skiprows=1)
-    assert not np.array_equal(rows[:, 2], default[:, 2])
+def test_use_adjoint_is_rejected(tiny_simulation, tmp_path, capsys):
+    # F# and the test functions take S^-1 only: the flag is gone, and a config
+    # whose use_adjoint is anything but false exits 2 instead of running S^-1
+    with pytest.raises(SystemExit) as exc:
+        _reconstruct(tiny_simulation, tmp_path / "flag", "--use-adjoint")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for i, (value, code) in enumerate(((True, 2), ("no", 2), (0, 2), (False, 0))):
+        cfg = tmp_path / f"adjoint{i}.json"
+        cfg.write_text(json.dumps({**TINY_DOC, "use_adjoint": value}))
+        out = tmp_path / f"out{i}"
+        assert _reconstruct(tiny_simulation, out, config=str(cfg)) == code
+        if code == 2:
+            assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+        assert os.path.exists(out / "report.json") == (code == 0)
+
+
+# inputs that are not the documented documents: (the reconstruct input they
+# replace, file contents, or None for a directory)
+MALFORMED = {
+    "run document is a list": ("config", json.dumps([TINY_DOC]).encode()),
+    "noise is a number": ("config", json.dumps({**TINY_DOC, "noise": 0.02}).encode()),
+    "lattice is a list": ("config", json.dumps({**TINY_DOC, "lattice": [1, 2]}).encode()),
+    "three lattice bounds": ("config", json.dumps(
+        {**TINY_DOC, "lattice": {"nx": 15, "ny": 15, "bounds": [-1.0, 1.0, -1.0]}}).encode()),
+    "config is not UTF-8": ("config", json.dumps(
+        {**TINY_DOC, "name": "d\u00e9faut"}, ensure_ascii=False).encode("latin-1")),
+    "config is a directory": ("config", None),
+    "fb is not an object": ("fb", b"[1, 2]"),
+    "fields header is not an object": ("fields", b"[1, 2]\n" + bytes(16)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_inputs_exit_2(tiny_simulation, tmp_path, capsys, case):
+    key, payload = MALFORMED[case]
+    path = tmp_path / "input"
+    if payload is None:
+        path.mkdir()
+    else:
+        path.write_bytes(payload)
+    out = tmp_path / "out"
+    assert _reconstruct(tiny_simulation, out, **{key: str(path)}) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError" and err["exit_code"] == 2
+    assert not os.path.exists(out / "report.json")
 
 
 def test_each_medium_is_factorized_once(tiny_config_path, tmp_path, monkeypatch):
@@ -492,3 +525,15 @@ def test_verify_skips_mie_for_noncircular_host(tiny_config_path, tmp_path):
     report = json.load(open(os.path.join(out, "report.json")))
     mie = next(c for c in report["checks"] if c["name"] == "mie_parity")
     assert mie.get("skipped")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="reciprocity 1.0088e-3 exceeds its 1e-3 limit (ROADMAP item 3)")
+def test_verify_passes_on_example2_aniso_host(tmp_path):
+    # a bundled preset that fails its own check; once the forward model is
+    # fixed this passes, strict xfail reports that as a failure, and the
+    # marker comes off
+    code = cli.main(["verify", "--config", "example2_aniso_host", "--out", str(tmp_path)])
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == []
+    assert code == 0

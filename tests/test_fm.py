@@ -172,16 +172,18 @@ def test_f_sharp_scaling_covariance(rng):
 @settings(max_examples=20, deadline=None)
 @given(n=st.sampled_from([8, 16]), seed=st.integers(0, 2**32 - 1))
 def test_f_sharp_hermitian_psd_property(n, seed):
-    # any F with any unitary S: both preprocessings give a Hermitian PSD F#,
-    # and they agree since S^-1 = S* for unitary S
+    # any F with any unitary S: both preprocessings, S^-1 and S* (an operator
+    # holding S* in its inverse slot), give a Hermitian PSD F#, and they agree
+    # since S^-1 = S* for unitary S
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    s = farfield.ScatteringOperator(K, n, q, np.linalg.inv(q), 0.0)
+    inverse = farfield.ScatteringOperator(K, n, q, np.linalg.inv(q), 0.0)
+    adjoint = farfield.ScatteringOperator(K, n, q, q.conj().T, 0.0)
     f = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
     sharps = []
-    for use_adjoint in (False, True):
-        m, lam, _ = fm.f_sharp(f, s, use_adjoint=use_adjoint)
+    for s in (inverse, adjoint):
+        m, lam, _ = fm.f_sharp(f, s)
         assert np.array_equal(m, m.conj().T)
         # PSD before the clamp to zero
         pre = np.linalg.eigvalsh(m)
