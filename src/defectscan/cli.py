@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import farfield, fm, io, media, solver
-from .errors import ConfigInvalid, DefectScanError, DimensionMismatch, NoDefectSignal, SchemaError
+from .errors import (
+    ConfigInvalid, DefectScanError, DimensionMismatch, NoDefectSignal, SchemaError, UsageError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +65,13 @@ def _complex_from(v) -> complex:
     raise SchemaError(f"expected a number or [re, im] pair, got {v!r}")
 
 
+def _json_int(value, key: str) -> int:
+    # int() would truncate 16.7 and turn true into 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict) or doc.get("schema") != "run/1":
         raise SchemaError("run configuration must be an object declaring schema run/1")
@@ -87,7 +96,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         g = doc["grid"]
         grid = solver.GridSpec(
             float(g["half_extent"]), float(g["h"]),
-            int(g.get("pml_cells", 16)), float(g.get("pml_strength", 0.0)),
+            _json_int(g.get("pml_cells", 16), "grid.pml_cells"), float(g.get("pml_strength", 0.0)),
         )
         noise = doc.get("noise", {})
         lat = doc.get("lattice", {})
@@ -100,11 +109,11 @@ def parse_run_config(doc: dict) -> RunConfig:
         return RunConfig(
             media=scene,
             grid=grid,
-            n_dirs=int(doc.get("directions", 32)),
+            n_dirs=_json_int(doc.get("directions", 32), "directions"),
             noise_level=float(noise.get("level", 0.0)),
-            noise_seed=int(noise.get("seed", 0)),
-            lattice_nx=int(lat.get("nx", 81)),
-            lattice_ny=int(lat.get("ny", 81)),
+            noise_seed=_json_int(noise.get("seed", 0), "noise.seed"),
+            lattice_nx=_json_int(lat.get("nx", 81), "lattice.nx"),
+            lattice_ny=_json_int(lat.get("ny", 81), "lattice.ny"),
             lattice_bounds=bounds,
             floor_rel=float(doc.get("floor_rel", fm.DEFAULT_FLOOR_REL)),
         )
@@ -148,13 +157,15 @@ def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig):
     masked = grid.mask.ravel()
     vals = grid.values.ravel()
     near_any = np.zeros(len(pts), dtype=bool)
+    inside_each = []
     for d in scene.defects:
+        contains = d.shape.contains(pts)
         tree = cKDTree(d.shape.boundary_points(512))
         dist, _ = tree.query(pts, distance_upper_bound=CONTRAST_CLEARANCE)
-        near_any |= d.shape.contains(pts) | (dist < CONTRAST_CLEARANCE)
+        near_any |= contains | (dist < CONTRAST_CLEARANCE)
+        inside_each.append(masked & contains)
     outside = masked & ~near_any
     out_mean = float(np.mean(vals[outside])) if np.any(outside) else float("nan")
-    inside_each = [masked & d.shape.contains(pts) for d in scene.defects]
     per_defect = []
     for inside in inside_each:
         in_mean = float(np.mean(vals[inside])) if np.any(inside) else float("nan")
@@ -309,9 +320,17 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as UsageError, so they get the JSON error line;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="defectscan",
         description="Simulate far-field scattering data for a defective "
         "anisotropic medium and reconstruct the defect support.",
@@ -341,8 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _apply_overrides(load_run_config(args.config), args)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "simulate":

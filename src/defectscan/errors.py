@@ -19,6 +19,10 @@ class SchemaError(DefectScanError):
     """An input file does not match its declared schema."""
 
 
+class UsageError(DefectScanError):
+    """Command-line arguments are missing, unknown or malformed."""
+
+
 class SingularSystem(DefectScanError):
     """Sparse LU factorization failed or the operator is numerically singular."""
     exit_code = 3

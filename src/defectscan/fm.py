@@ -157,7 +157,7 @@ def picard_indicator(
     keep = kept_modes(lam, floor_rel)
     if not np.any(keep):
         raise EmptySpectrum("all eigenvalues fell below the Picard floor")
-    proj = np.abs(phi.conj() @ psi[:, keep]) ** 2  # (P, kept)
+    proj = np.abs(phi @ psi[:, keep].conj()) ** 2  # (P, kept); no (P, N) conj copy
     series = proj @ (1.0 / lam[keep])
     values = np.where(series > 0, 1.0 / np.maximum(series, 1.0 / INDICATOR_CAP), INDICATOR_CAP)
     return values, False

@@ -100,7 +100,7 @@ def read_fields(path: str) -> FieldSet:
     try:
         with open(path, "rb") as fh:
             line = fh.readline()
-            raw = fh.read()
+            raw = fh.read()  # the one copy of the payload: `data` is a read-only view of it
         header = json.loads(line)
     except (OSError, ValueError) as exc:
         raise SchemaError(f"{path}: unreadable fields file ({exc})") from exc
@@ -123,7 +123,7 @@ def read_fields(path: str) -> FieldSet:
     expect = n * nn * nn * 16
     if len(raw) != expect:
         raise SchemaError(f"{path}: payload is {len(raw)} bytes, expected {expect}")
-    data = np.frombuffer(raw, dtype="<c16").reshape(n, nn, nn).copy()
+    data = np.frombuffer(raw, dtype="<c16").reshape(n, nn, nn)
     if not np.all(np.isfinite(data)):
         raise ConfigInvalid(f"{path}: fields payload has non-finite values")
     return FieldSet(spec, k, angles, data)
@@ -134,14 +134,14 @@ def read_fields(path: str) -> FieldSet:
 
 
 def write_indicator_csv(path: str, grid):
-    lines = ["x,y,value,inside_D"]
-    for iy, y in enumerate(grid.ys):
-        for ix, x in enumerate(grid.xs):
-            lines.append(
-                f"{float(x)!r},{float(y)!r},{float(grid.values[iy, ix])!r},"
-                f"{int(grid.mask[iy, ix])}"
-            )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    """Rows x,y,value,inside_D, x varying fastest and y ascending; each
+    coordinate is formatted once and the rows are built from Python floats."""
+    xs = [repr(x) + "," for x in grid.xs.tolist()]
+    parts = ["x,y,value,inside_D\n"]
+    for y, row, inside in zip(grid.ys.tolist(), grid.values.tolist(), grid.mask.tolist()):
+        y = repr(y) + ","
+        parts += [x + y + repr(v) + (",1\n" if m else ",0\n") for x, v, m in zip(xs, row, inside)]
+    _atomic_write(path, "".join(parts).encode())
 
 
 def write_indicator_pgm(path: str, grid):

@@ -163,9 +163,9 @@ def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = Fal
     def along_y(m, z):  # [field, y, x] -> [x, (a, field)], ready for the x fit
         return (m @ z).view(complex).transpose(2, 1, 0).copy().reshape(n, -1)
 
-    def evaluate(m, w):  # x fit -> coefficients [(b, a), field] -> samples [field, p]
-        coef = (m @ w.view(float)).view(complex).reshape(nc * nc, -1)
-        return (rows @ coef).T
+    def evaluate(m, w):  # x fit -> coefficients [(b, a), (field, re/im)] -> samples [field, p]
+        coef = (m @ w.view(float)).reshape(nc * nc, -1)
+        return (rows @ coef).view(complex).T
 
     dfit = fit @ np.gradient(np.eye(n), spec.h, axis=0) if gradient else None
     out = [np.empty((len(zr), p), dtype=complex) for _ in range(3 if gradient else 1)]

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from defectscan import cli, errors, farfield, io, solver
+from defectscan import cli, errors, farfield, fm, io, solver
 from defectscan.errors import ConfigInvalid, SchemaError
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -182,6 +182,7 @@ def test_fields_round_trip(tmp_path, rng):
     g = io.read_fields(path)
     assert g.spec == spec
     assert np.array_equal(g.data, data)
+    assert not g.data.flags.writeable  # a view of the one payload copy
     # truncated payload is rejected
     raw = open(path, "rb").read()
     with open(path, "wb") as fh:
@@ -199,6 +200,43 @@ def test_read_fields_rejects_non_finite(tmp_path):
     io.write_fields(path, farfield.FieldSet(spec, 1.0, farfield.direction_angles(4), data))
     with pytest.raises(ConfigInvalid):
         io.read_fields(path)
+
+
+def _indicator_csv_rows(grid):
+    # the per-row formatter write_indicator_csv replaced: the bytes it wrote
+    lines = ["x,y,value,inside_D"]
+    for iy, y in enumerate(grid.ys):
+        for ix, x in enumerate(grid.xs):
+            lines.append(
+                f"{float(x)!r},{float(y)!r},{float(grid.values[iy, ix])!r},"
+                f"{int(grid.mask[iy, ix])}"
+            )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_indicator_csv_golden_bytes_and_round_trip(tmp_path, rng):
+    nx, ny = 7, 4  # non-square, so the row order is pinned
+    xs, ys, _ = fm.sampling_lattice((-1.3, 0.9, -0.7, 1.1), nx, ny)
+    mask = rng.random((ny, nx)) < 0.7
+    mask[0, :3] = [True, True, False]
+    values = np.where(mask, rng.random((ny, nx)) * 10.0 ** rng.uniform(-9, 6, (ny, nx)), 0.0)
+    values[0, :2] = [fm.INDICATOR_CAP, 3.0]  # the cap and an integral float
+    values[1, mask[1]] *= 1e-7               # below 1e-4, where repr uses exponents
+    grid = fm.IndicatorGrid(xs, ys, values, mask, False, 0)
+    path = tmp_path / "indicator.csv"
+    io.write_indicator_csv(str(path), grid)
+    text = path.read_bytes()
+    assert text == _indicator_csv_rows(grid)
+    assert b"e-" in text and b",3.0," in text and b",0.0,0\n" in text
+
+    # x varies fastest, y ascending; every number reads back bit for bit
+    lines = text.decode().splitlines()
+    assert lines[0] == "x,y,value,inside_D" and len(lines) == 1 + nx * ny
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(rows[:, 0], np.tile(xs, ny))
+    np.testing.assert_array_equal(rows[:, 1], np.repeat(ys, nx))
+    np.testing.assert_array_equal(rows[:, 2], values.ravel())
+    np.testing.assert_array_equal(rows[:, 3], mask.ravel())
 
 
 def test_outputs_respect_umask(tmp_path):
@@ -376,10 +414,8 @@ def test_report_records_the_data_direction_count(tiny_simulation, tmp_path):
 def test_use_adjoint_is_rejected(tiny_simulation, tmp_path, capsys):
     # F# and the test functions take S^-1 only: the flag is gone, and a config
     # whose use_adjoint is anything but false exits 2 instead of running S^-1
-    with pytest.raises(SystemExit) as exc:
-        _reconstruct(tiny_simulation, tmp_path / "flag", "--use-adjoint")
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert _reconstruct(tiny_simulation, tmp_path / "flag", "--use-adjoint") == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
     for i, (value, code) in enumerate(((True, 2), ("no", 2), (0, 2), (False, 0))):
         cfg = tmp_path / f"adjoint{i}.json"
         cfg.write_text(json.dumps({**TINY_DOC, "use_adjoint": value}))
@@ -388,6 +424,49 @@ def test_use_adjoint_is_rejected(tiny_simulation, tmp_path, capsys):
         if code == 2:
             assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
         assert os.path.exists(out / "report.json") == (code == 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "example1_circle"],
+    ["simulate", "--config", "example1_circle", "--out", "o", "--no-such-flag"],
+    ["verify", "--config", "example1_circle", "--out", "o", "--seed", "abc"],
+    ["no-such-command"],
+])
+def test_usage_errors_exit_2_with_the_json_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()  # the JSON line only, no usage text
+    err = json.loads(line)
+    assert err["error"] == "UsageError" and err["exit_code"] == 2
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [16.7, True, "16"])
+@pytest.mark.parametrize("key", [
+    "directions", "lattice.nx", "lattice.ny", "grid.pml_cells", "noise.seed",
+])
+def test_non_integer_counts_exit_2(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps({**TINY_DOC, "noise": {"level": 0.0, "seed": 3}}))
+    *parents, leaf = key.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    p = tmp_path / "counts.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError" and key in err["message"]
+    assert not os.path.exists(tmp_path / "out" / "F0.ffm.json")
 
 
 # inputs that are not the documented documents: (the reconstruct input they
@@ -453,7 +532,7 @@ def test_host_too_close_to_pml_exit_code(tmp_path, capsys):
 # the exit status README documents for each error: 2 bad input, 3 numerical
 # failure, 4 inconsistent inputs, 5 no defect signature
 EXIT_CODES = {
-    "ConfigInvalid": 2, "SchemaError": 2,
+    "ConfigInvalid": 2, "SchemaError": 2, "UsageError": 2,
     "SingularSystem": 3, "PointInPml": 3, "CircleOutOfBounds": 3, "ModeSystemSingular": 3,
     "SingularScattering": 3, "NotHermitian": 3, "NoConvergence": 3,
     "DimensionMismatch": 4, "MissingFields": 4, "PointOutsideD": 4, "EmptySpectrum": 4,

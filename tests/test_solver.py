@@ -408,6 +408,56 @@ def test_grid_sampler_matches_per_field_splines(tiny_grid, rng):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(plane).max()
 
 
+def _complex_sampler(spec, values, x, y, gradient):
+    # sample_fields with the design matrix applied to complex coefficients
+    c = spec.coords()
+    n, nc, p = len(c), len(c) + 2, len(x)
+    zr = values.reshape(-1, n, n).view(float)
+    fit = solver._spline_fit(n)
+    ix, wx = solver._spline_rows(c, spec.h, x)
+    iy, wy = solver._spline_rows(c, spec.h, y)
+    cols = ix.reshape(p, 4, 1) * nc + iy.reshape(p, 1, 4)
+    data = wx.reshape(p, 4, 1) * wy.reshape(p, 1, 4)
+    rows = sp.csr_matrix(
+        (data.ravel(), cols.ravel(), np.arange(0, 16 * p + 1, 16)), shape=(p, nc * nc)
+    )
+
+    def along_y(m, z):
+        return (m @ z).view(complex).transpose(2, 1, 0).copy().reshape(n, -1)
+
+    def evaluate(m, w):
+        coef = (m @ w.view(float)).view(complex).reshape(nc * nc, -1)
+        assert coef.dtype == complex
+        return (rows @ coef).T
+
+    dfit = fit @ np.gradient(np.eye(n), spec.h, axis=0)
+    out = [np.empty((len(zr), p), dtype=complex) for _ in range(3 if gradient else 1)]
+    for i in range(0, len(zr), solver.BLOCK):
+        z, block = zr[i:i + solver.BLOCK], slice(i, i + solver.BLOCK)
+        w = along_y(fit, z)
+        out[0][block] = evaluate(fit, w)
+        if gradient:
+            out[1][block] = evaluate(dfit, w)
+            out[2][block] = evaluate(fit, along_y(dfit, z))
+    return out
+
+
+@pytest.mark.parametrize("gradient", [False, True])
+def test_sampler_real_evaluation_equals_complex_bit_for_bit(tiny_grid, rng, gradient):
+    # the design matrix acts on (re, im) pairs of the coefficients; a real
+    # weight times a complex coefficient rounds each part the same way
+    spec = tiny_grid
+    c, nn, m = spec.coords(), spec.n_nodes, 2 * solver.BLOCK + 3
+    fields = rng.standard_normal((m, nn, nn)) + 1j * rng.standard_normal((m, nn, nn))
+    x = np.concatenate([c[[0, -1]], rng.uniform(c[0], c[-1], 60)])
+    y = np.concatenate([c[[-1, 0]], rng.uniform(c[0], c[-1], 60)])
+    got = solver.sample_fields(spec, fields, x, y, gradient=gradient)
+    want = _complex_sampler(spec, fields, x, y, gradient)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(17, 80),
