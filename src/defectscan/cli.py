@@ -96,7 +96,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         g = doc["grid"]
         grid = solver.GridSpec(
             float(g["half_extent"]), float(g["h"]),
-            _json_int(g.get("pml_cells", 16), "grid.pml_cells"), float(g.get("pml_strength", 0.0)),
+            _json_int(g.get("pml_cells", solver.GridSpec.pml_cells), "grid.pml_cells"),
+            float(g.get("pml_strength", solver.GridSpec.pml_strength)),
         )
         noise = doc.get("noise", {})
         lat = doc.get("lattice", {})

@@ -100,7 +100,9 @@ def read_fields(path: str) -> FieldSet:
     try:
         with open(path, "rb") as fh:
             line = fh.readline()
-            raw = fh.read()  # the one copy of the payload: `data` is a read-only view of it
+            # one copy of the payload: fh.read() would copy it again to join the buffered head
+            raw = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+            size = fh.readinto(raw)
         header = json.loads(line)
     except (OSError, ValueError) as exc:
         raise SchemaError(f"{path}: unreadable fields file ({exc})") from exc
@@ -121,9 +123,9 @@ def read_fields(path: str) -> FieldSet:
     if nn != spec.n_nodes or angles.shape != (n,):
         raise SchemaError(f"{path}: header inconsistent")
     expect = n * nn * nn * 16
-    if len(raw) != expect:
-        raise SchemaError(f"{path}: payload is {len(raw)} bytes, expected {expect}")
-    data = np.frombuffer(raw, dtype="<c16").reshape(n, nn, nn)
+    if size != expect:
+        raise SchemaError(f"{path}: payload is {size} bytes, expected {expect}")
+    data = np.frombuffer(memoryview(raw).toreadonly(), dtype="<c16").reshape(n, nn, nn)
     if not np.all(np.isfinite(data)):
         raise ConfigInvalid(f"{path}: fields payload has non-finite values")
     return FieldSet(spec, k, angles, data)

@@ -49,14 +49,14 @@ def gamma2(k: float) -> complex:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform node grid on [-L, L]^2 plus a PML collar of pml_cells cells.
+    """Uniform node grid on [-L, L]^2 plus a PML collar of pml_cells cells (default and minimum 8).
 
     pml_strength 0 means "auto": 30 / (k * T) with T the collar width.
     """
 
     half_extent: float
     h: float
-    pml_cells: int = 16
+    pml_cells: int = 8
     pml_strength: float = 0.0
 
     def __post_init__(self):

@@ -83,6 +83,8 @@ def test_criterion_1_forward_solver_oracle_parity():
     cfg = media.MediaConfig(host, (), 1.0)
     cells = math.ceil(2 * 3.5 / (cfg.min_wavelength() / 15))
     cells += cells % 2
+    # 16 PML cells, not the default 8, keeps the statistic comparable with its
+    # first records (8.25e-3; 8.27e-3 at 8 cells)
     spec = solver.GridSpec(3.5, 7.0 / cells, 16)
     system = solver.assemble_system(spec, cfg, "background")
     f = solver.solve_plane_wave(system, (1.0, 0.0))

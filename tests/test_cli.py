@@ -4,6 +4,7 @@ import re
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,7 @@ def test_bundled_configs_parse_and_validate():
         cfg = cli.load_run_config(name)
         cfg.media.validate(cfg.grid.h)
         cfg.grid.validate_for(cfg.media)
+        assert cfg.grid.pml_cells == solver.GridSpec.pml_cells
 
 
 def test_cli_import_loads_only_the_pipeline_modules():
@@ -183,6 +185,13 @@ def test_fields_round_trip(tmp_path, rng):
     assert g.spec == spec
     assert np.array_equal(g.data, data)
     assert not g.data.flags.writeable  # a view of the one payload copy
+    tracemalloc.start()
+    try:
+        io.read_fields(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * data.nbytes  # the payload is allocated once
     # truncated payload is rejected
     raw = open(path, "rb").read()
     with open(path, "wb") as fh:
@@ -582,11 +591,12 @@ def test_verify_command(tmp_path):
             "n": 1.1,
         },
         "defects": [],
-        "grid": {"half_extent": 3.5, "h": 0.175, "pml_cells": 16},
+        "grid": {"half_extent": 3.5, "h": 0.175},
         "directions": 16,
     }
     p = tmp_path / "disc.json"
     p.write_text(json.dumps(doc))
+    assert cli.load_run_config(str(p)).grid == solver.GridSpec(3.5, 0.175)
     out = str(tmp_path / "out")
     assert cli.main(["verify", "--config", str(p), "--out", out]) == 0
     report = json.load(open(os.path.join(out, "report.json")))
@@ -606,8 +616,18 @@ def test_verify_skips_mie_for_noncircular_host(tiny_config_path, tmp_path):
     assert mie.get("skipped")
 
 
+@pytest.mark.parametrize("name", [
+    "example1_circle", "example1_ellipse", "example1_square", "example1_twodiscs",
+    "example3_aniso_defects",
+])
+def test_verify_passes_on_preset(name, tmp_path):
+    # every preset but example2_aniso_host (strict xfail below) passes its own checks
+    assert cli.main(["verify", "--config", name, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["passed"]
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="reciprocity 1.0088e-3 exceeds its 1e-3 limit (ROADMAP item 3)")
+                   reason="reciprocity 1.0087e-3 exceeds its 1e-3 limit (ROADMAP item 5)")
 def test_verify_passes_on_example2_aniso_host(tmp_path):
     # a bundled preset that fails its own check; once the forward model is
     # fixed this passes, strict xfail reports that as a failure, and the

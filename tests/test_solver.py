@@ -10,7 +10,7 @@ from scipy.interpolate import RectBivariateSpline, make_interp_spline
 from scipy.sparse.linalg import splu, spsolve
 from scipy.special import hankel1, jv
 
-from defectscan import cli, media, solver
+from defectscan import cli, farfield, media, solver
 from defectscan.errors import (
     CircleOutOfBounds,
     ConfigInvalid,
@@ -32,7 +32,7 @@ def _grid_for(cfg, L, ppw):
     cells = math.ceil(2 * L / h_t)
     if cells % 2:
         cells += 1
-    return solver.GridSpec(L, 2 * L / cells, 16)
+    return solver.GridSpec(L, 2 * L / cells)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,8 @@ def _grid_for(cfg, L, ppw):
 
 def test_gridspec_invariants():
     with pytest.raises(ConfigInvalid):
-        solver.GridSpec(4.0, 0.1, 4)  # too few PML cells
+        solver.GridSpec(4.0, 0.1, 7)  # too few PML cells
+    assert solver.GridSpec(4.0, 0.1).pml_cells == 8  # the default is the minimum
     with pytest.raises(ConfigInvalid):
         solver.GridSpec(4.0, 0.3, 16)  # 2L/h not integer
     with pytest.raises(ConfigInvalid):
@@ -314,6 +315,22 @@ def test_mie_parity_at_coarse_grid():
     exact = solver.mie_far_field(0.9, 1.1, 1.0, K, 0.0, ANGLES64)
     err = np.linalg.norm(ff - exact) / np.linalg.norm(exact)
     assert err <= 1e-2
+
+
+def test_pml_collar_of_8_cells_matches_16():
+    # the presets' contrast on a disc of radius 2, 32 x 32 far-field matrix:
+    # halving the collar moves the error against the Mie series by < 1%
+    host = media.HostRegion(media.Circle((0, 0), 2.0), media.SymTensor2(0.5, 0.0, 0.5), 3.0)
+    cfg = media.MediaConfig(host, (), K)
+    angles = farfield.direction_angles(32)
+    exact = np.column_stack([solver.mie_far_field(0.5, 3.0, 2.0, K, a, angles) for a in angles])
+    errs = []
+    for cells in (16, 8):
+        system = solver.assemble_system(solver.GridSpec(4.5, 0.15, cells), cfg, "background")
+        f, _ = farfield.assemble_far_field_matrix(system, 32)
+        errs.append(np.linalg.norm(f.entries - exact) / np.linalg.norm(exact))
+    assert abs(errs[1] - errs[0]) <= 1e-2 * errs[0]
+    assert errs[1] <= 2.5e-2
 
 
 def test_grid_convergence_factor():
