@@ -97,8 +97,11 @@ def parse_run_config(doc: dict) -> RunConfig:
         grid = solver.GridSpec(
             float(g["half_extent"]), float(g["h"]),
             _json_int(g.get("pml_cells", solver.GridSpec.pml_cells), "grid.pml_cells"),
-            float(g.get("pml_strength", solver.GridSpec.pml_strength)),
         )
+        strength = g.get("pml_strength", 0)
+        if isinstance(strength, bool) or strength != 0:
+            # the collar strength is always 30 / (k T); the key may only say 0
+            raise SchemaError(f"grid.pml_strength is no longer supported, got {strength!r}")
         noise = doc.get("noise", {})
         lat = doc.get("lattice", {})
         if not (isinstance(noise, dict) and isinstance(lat, dict)):
@@ -107,6 +110,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         bounds = tuple(float(b) for b in (host.shape.bbox() if bounds is None else bounds))
         if len(bounds) != 4:
             raise SchemaError(f"lattice bounds need 4 entries [x0, x1, y0, y1], got {len(bounds)}")
+        if not (bounds[0] <= bounds[1] and bounds[2] <= bounds[3]):
+            raise SchemaError(f"lattice bounds need x0 <= x1 and y0 <= y1, got {list(bounds)}")
         return RunConfig(
             media=scene,
             grid=grid,
@@ -184,12 +189,13 @@ def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig):
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     """Solve both forward problems and write F0/Fb matrices plus background fields."""
-    # each system is a temporary, freed before the next is factorized
-    f0, _ = farfield.assemble_far_field_matrix(
+    # each system is a temporary, freed before the next is factorized, and
+    # the defective medium's fields are dropped on return
+    f0 = farfield.assemble_far_field_matrix(
         solver.assemble_system(cfg.grid, cfg.media, "defective"), cfg.n_dirs
-    )
+    )[0]
     fb, fields = farfield.assemble_far_field_matrix(
-        solver.assemble_system(cfg.grid, cfg.media, "background"), cfg.n_dirs, keep_fields=True
+        solver.assemble_system(cfg.grid, cfg.media, "background"), cfg.n_dirs
     )
     io.write_ffm(os.path.join(out_dir, "F0.ffm.json"), f0)
     io.write_ffm(os.path.join(out_dir, "Fb.ffm.json"), fb)
@@ -256,7 +262,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     checks = []
     # one factorization of the background serves the plane waves and the point source
     system = solver.assemble_system(cfg.grid, cfg.media, "background")
-    fb, fields = farfield.assemble_far_field_matrix(system, cfg.n_dirs, keep_fields=True)
+    fb, fields = farfield.assemble_far_field_matrix(system, cfg.n_dirs)
     rec = farfield.reciprocity_defect(fb)
     checks.append({"name": "reciprocity", "value": rec, "limit": 1e-3, "passed": rec <= 1e-3})
 
@@ -312,10 +318,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.floor is not None:
         cfg = replace(cfg, floor_rel=float(args.floor))
     if args.grid_h is not None:
-        g = cfg.grid
-        cfg = replace(
-            cfg, grid=solver.GridSpec(g.half_extent, float(args.grid_h), g.pml_cells, g.pml_strength)
-        )
+        cfg = replace(cfg, grid=replace(cfg.grid, h=float(args.grid_h)))
     if args.directions is not None:
         cfg = replace(cfg, n_dirs=int(args.directions))
     return cfg

@@ -12,7 +12,7 @@ class DefectScanError(Exception):
 
 
 class ConfigInvalid(DefectScanError):
-    """Scene description violates a geometric or material invariant."""
+    """A scene, grid or sample point violates a geometric or material invariant."""
 
 
 class SchemaError(DefectScanError):
@@ -25,16 +25,6 @@ class UsageError(DefectScanError):
 
 class SingularSystem(DefectScanError):
     """Sparse LU factorization failed or the operator is numerically singular."""
-    exit_code = 3
-
-
-class PointInPml(DefectScanError):
-    """Requested source point lies inside or too close to the PML collar."""
-    exit_code = 3
-
-
-class CircleOutOfBounds(DefectScanError):
-    """Far-field extraction circle does not fit inside the physical region."""
     exit_code = 3
 
 
@@ -55,11 +45,6 @@ class NoConvergence(DefectScanError):
 
 class PointOutsideD(DefectScanError):
     """Sampling point lies outside the host region."""
-    exit_code = 4
-
-
-class MissingFields(DefectScanError):
-    """Background total fields were not retained / supplied."""
     exit_code = 4
 
 

@@ -76,14 +76,12 @@ def extraction_radius(config: media.MediaConfig, spec: solver.GridSpec) -> float
     return r_ff
 
 
-def assemble_far_field_matrix(
-    system: solver.FactorizedSystem, n_dirs: int, keep_fields: bool = False,
-):
+def assemble_far_field_matrix(system: solver.FactorizedSystem, n_dirs: int):
     """One solve of all N plane-wave problems of a factorized medium and one
     far-field extraction; k, the grid and the scene come from `system`.
 
-    Returns (FarFieldMatrix, FieldSet or None); the retained fields are the
-    total fields, used later for test-function evaluation.
+    Returns (FarFieldMatrix, FieldSet): the FieldSet holds the total fields,
+    which the background's test functions sample.
     """
     if n_dirs % 2 or n_dirs < 8:
         raise ConfigInvalid("need an even number of directions, at least 8")
@@ -95,8 +93,6 @@ def assemble_far_field_matrix(
     # row j of the far fields belongs to incidence j: the matrix is its transpose
     entries = solver.far_field(spec, scattered, k, r_ff, angles).T
     ffm = FarFieldMatrix(k, angles, entries.copy())
-    if not keep_fields:
-        return ffm, None
     for u, d in zip(scattered, dirs):  # one direction at a time: no second (N, n, n) stack
         u += solver.incident_plane_wave(spec, k, d)  # total fields
     return ffm, FieldSet(spec, k, angles, scattered)

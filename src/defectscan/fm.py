@@ -18,7 +18,6 @@ from .errors import (
     ConfigInvalid,
     DimensionMismatch,
     EmptySpectrum,
-    MissingFields,
     NoConvergence,
     NotHermitian,
     PointOutsideD,
@@ -107,15 +106,10 @@ def reversed_incidence_samples(fields: FieldSet, points: np.ndarray) -> np.ndarr
 
 
 def test_functions(
-    fields: FieldSet | None,
-    s: ScatteringOperator,
-    config: media.MediaConfig,
-    points,
+    fields: FieldSet, s: ScatteringOperator, config: media.MediaConfig, points,
 ) -> np.ndarray:
     """Rows phi_z = S^{-1} g_z, shape (P, N), with g_z[j] = gamma u_b(z, -x_hat_j)
     (see `reversed_incidence_samples`)."""
-    if fields is None:
-        raise MissingFields("background total fields were not retained")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(config.host.shape.contains(points)):
         raise PointOutsideD("every sampling point must lie inside the host D")
@@ -186,7 +180,7 @@ def sampling_lattice(bounds, nx: int, ny: int):
 def indicator_grid(
     lam: np.ndarray,
     psi: np.ndarray,
-    fields: FieldSet | None,
+    fields: FieldSet,
     s: ScatteringOperator,
     config: media.MediaConfig,
     bounds,

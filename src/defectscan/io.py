@@ -87,7 +87,6 @@ def write_fields(path: str, fields: FieldSet):
             "half_extent": spec.half_extent,
             "h": spec.h,
             "pml_cells": spec.pml_cells,
-            "pml_strength": spec.pml_strength,
         },
         "nodes": spec.n_nodes,
         "dtype": "<c16",
@@ -110,10 +109,9 @@ def read_fields(path: str) -> FieldSet:
         raise SchemaError(f"{path}: expected schema fields/1")
     try:
         g = header["grid"]
-        spec = solver.GridSpec(
-            float(g["half_extent"]), float(g["h"]),
-            int(g["pml_cells"]), float(g["pml_strength"]),
-        )
+        # files written before the collar strength was fixed also carry
+        # "pml_strength": 0, which sampling the fields does not need
+        spec = solver.GridSpec(float(g["half_extent"]), float(g["h"]), int(g["pml_cells"]))
         n = int(header["N"])
         nn = int(header["nodes"])
         angles = np.asarray(header["angles"], dtype=float)

@@ -24,18 +24,13 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import media
-from .errors import (
-    CircleOutOfBounds,
-    ConfigInvalid,
-    ModeSystemSingular,
-    PointInPml,
-    SingularSystem,
-)
+from .errors import ConfigInvalid, ModeSystemSingular, SingularSystem
 
 FACTOR_PROBE_TOL = 1e-10
 PIVOT_TOL = 1e-14  # 1 / the largest condition number a factorization may show
 BLOCK = 8  # directions per solve call and fields per spline fit: small transients
 SUBCELLS = 16  # subsamples per patch side in `_subcell_average`
+M_QUAD = 256  # trapezoidal nodes on the far-field circle
 
 
 def gamma2(k: float) -> complex:
@@ -49,23 +44,18 @@ def gamma2(k: float) -> complex:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform node grid on [-L, L]^2 plus a PML collar of pml_cells cells (default and minimum 8).
-
-    pml_strength 0 means "auto": 30 / (k * T) with T the collar width.
-    """
+    """Uniform node grid on [-L, L]^2 plus a PML collar of pml_cells cells
+    (default and minimum 8), of strength 30 / (k * T) with T the collar width."""
 
     half_extent: float
     h: float
     pml_cells: int = 8
-    pml_strength: float = 0.0
 
     def __post_init__(self):
         if self.h <= 0 or self.half_extent <= 0:
             raise ConfigInvalid("grid spacing and half extent must be positive")
         if self.pml_cells < 8:
             raise ConfigInvalid("need at least 8 PML cells")
-        if self.pml_strength < 0:
-            raise ConfigInvalid("pml_strength must be nonnegative")
         cells = 2 * self.half_extent / self.h
         if abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
             raise ConfigInvalid("2 * half_extent / h must be an integer")
@@ -87,8 +77,6 @@ class GridSpec:
         return start + self.h * np.arange(self.n_nodes)
 
     def resolved_strength(self, k: float) -> float:
-        if self.pml_strength > 0:
-            return self.pml_strength
         return 30.0 / (k * self.pml_width)
 
     def validate_for(self, config: media.MediaConfig):
@@ -218,11 +206,7 @@ def _subcell_average(config, xs, ys, h, background):
 
 
 class FactorizedSystem:
-    """Factorized discretization of one medium (background or defective).
-
-    Immutable after construction; `solve_grid` may be called concurrently
-    since SuperLU's triangular solves do not mutate the factors.
-    """
+    """Factorized discretization of one medium (background or defective)."""
 
     def __init__(self, spec: GridSpec, config: media.MediaConfig, which: str):
         if which not in ("background", "defective"):
@@ -421,7 +405,7 @@ def solve_point_source(system: FactorizedSystem, z) -> np.ndarray:
     h = spec.h
     zx, zy = float(z[0]), float(z[1])
     if max(abs(zx), abs(zy)) > spec.half_extent - 4 * h:
-        raise PointInPml("source point must stay >= 4h away from the PML collar")
+        raise ConfigInvalid("source point must stay >= 4h away from the PML collar")
     c = spec.coords()
     ix = int(np.clip(np.searchsorted(c, zx) - 1, 0, len(c) - 2))
     iy = int(np.clip(np.searchsorted(c, zy) - 1, 0, len(c) - 2))
@@ -442,21 +426,15 @@ def solve_point_source(system: FactorizedSystem, z) -> np.ndarray:
 # far-field extraction
 
 
-def far_field(
-    spec: GridSpec, values: np.ndarray, k: float, r_ff: float, angles, m_quad: int = 256,
-) -> np.ndarray:
+def far_field(spec: GridSpec, values: np.ndarray, k: float, r_ff: float, angles) -> np.ndarray:
     """Far-field patterns (..., len(angles)) of radiating grid fields
     (..., n, n) by the boundary-integral representation over the circle of
-    radius r_ff (trapezoidal quadrature); one spline fit samples every field."""
-    if m_quad < 256:
-        raise ConfigInvalid("need at least 256 quadrature points")
+    radius r_ff (M_QUAD-point trapezoidal rule); one spline fit samples every field."""
     if not (0 < r_ff <= spec.half_extent - 4 * spec.h):
-        raise CircleOutOfBounds(
-            f"extraction radius {r_ff:g} must lie in (0, L - 4h]"
-        )
+        raise ConfigInvalid(f"extraction radius {r_ff:g} must lie in (0, L - 4h]")
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
 
-    phi = 2 * np.pi * np.arange(m_quad) / m_quad
+    phi = 2 * np.pi * np.arange(M_QUAD) / M_QUAD
     cp, sp_ = np.cos(phi), np.sin(phi)
     yx, yy = r_ff * cp, r_ff * sp_
     u, gx, gy = sample_fields(spec, values, yx, yy, gradient=True)
@@ -466,7 +444,7 @@ def far_field(
     phase = np.exp(-1j * k * (np.outer(xhat_x, yx) + np.outer(xhat_y, yy)))
     cos_xn = np.outer(xhat_x, cp) + np.outer(xhat_y, sp_)
     integral = u @ (-1j * k * cos_xn * phase).T - du @ phase.T
-    return gamma2(k) * integral * (2 * np.pi * r_ff / m_quad)
+    return gamma2(k) * integral * (2 * np.pi * r_ff / M_QUAD)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ def ex1_data(ex1_cfg):
         solver.assemble_system(ex1_cfg.grid, ex1_cfg.media, "defective"), ex1_cfg.n_dirs
     )
     fb, fields = farfield.assemble_far_field_matrix(
-        solver.assemble_system(ex1_cfg.grid, ex1_cfg.media, "background"), ex1_cfg.n_dirs,
-        keep_fields=True,
+        solver.assemble_system(ex1_cfg.grid, ex1_cfg.media, "background"), ex1_cfg.n_dirs
     )
     return f0, fb, fields
 

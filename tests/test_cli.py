@@ -486,6 +486,10 @@ MALFORMED = {
     "lattice is a list": ("config", json.dumps({**TINY_DOC, "lattice": [1, 2]}).encode()),
     "three lattice bounds": ("config", json.dumps(
         {**TINY_DOC, "lattice": {"nx": 15, "ny": 15, "bounds": [-1.0, 1.0, -1.0]}}).encode()),
+    "reversed lattice bounds": ("config", json.dumps(
+        {**TINY_DOC, "lattice": {"nx": 15, "ny": 15, "bounds": [1.0, -1.0, 1.0, -1.0]}}).encode()),
+    "grid.pml_strength nonzero": ("config", json.dumps(
+        {**TINY_DOC, "grid": {**TINY_DOC["grid"], "pml_strength": 30.0}}).encode()),
     "config is not UTF-8": ("config", json.dumps(
         {**TINY_DOC, "name": "d\u00e9faut"}, ensure_ascii=False).encode("latin-1")),
     "config is a directory": ("config", None),
@@ -506,7 +510,32 @@ def test_malformed_inputs_exit_2(tiny_simulation, tmp_path, capsys, case):
     assert _reconstruct(tiny_simulation, out, **{key: str(path)}) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SchemaError" and err["exit_code"] == 2
-    assert not os.path.exists(out / "report.json")
+    assert not out.exists() or os.listdir(out) == []  # nothing written
+
+
+def test_pml_strength_zero_still_parses(tmp_path):
+    # the collar strength is fixed at 30 / (k T); a run file may still say 0,
+    # the value that selected it before
+    for value in (0, 0.0):
+        p = tmp_path / "strength.json"
+        p.write_text(json.dumps({**TINY_DOC, "grid": {**TINY_DOC["grid"], "pml_strength": value}}))
+        assert cli.load_run_config(str(p)).grid == solver.GridSpec(2.0, 0.125)
+
+
+def test_fields_header_with_pml_strength_still_reads(tiny_simulation, tmp_path):
+    # fields/1 files written while the header carried the collar strength
+    line, payload = open(tiny_simulation["fields"], "rb").read().split(b"\n", 1)
+    header = json.loads(line)
+    assert "pml_strength" not in header["grid"]
+    header["grid"]["pml_strength"] = 0.0
+    old = tmp_path / "old_fields.bin"
+    old.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    new_fs, old_fs = io.read_fields(tiny_simulation["fields"]), io.read_fields(str(old))
+    assert old_fs.spec == new_fs.spec and np.array_equal(old_fs.data, new_fs.data)
+    assert _reconstruct(tiny_simulation, tmp_path / "new") == 0
+    assert _reconstruct(tiny_simulation, tmp_path / "old", fields=str(old)) == 0
+    for name in ("indicator.csv", "indicator.pgm", "spectrum.csv", "report.json"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
 
 def test_each_medium_is_factorized_once(tiny_config_path, tmp_path, monkeypatch):
@@ -542,9 +571,9 @@ def test_host_too_close_to_pml_exit_code(tmp_path, capsys):
 # failure, 4 inconsistent inputs, 5 no defect signature
 EXIT_CODES = {
     "ConfigInvalid": 2, "SchemaError": 2, "UsageError": 2,
-    "SingularSystem": 3, "PointInPml": 3, "CircleOutOfBounds": 3, "ModeSystemSingular": 3,
+    "SingularSystem": 3, "ModeSystemSingular": 3,
     "SingularScattering": 3, "NotHermitian": 3, "NoConvergence": 3,
-    "DimensionMismatch": 4, "MissingFields": 4, "PointOutsideD": 4, "EmptySpectrum": 4,
+    "DimensionMismatch": 4, "PointOutsideD": 4, "EmptySpectrum": 4,
     "NoDefectSignal": 5,
 }
 

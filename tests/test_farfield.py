@@ -38,7 +38,7 @@ def test_matrix_shape_validation():
 
 def test_zero_contrast_background_matrix(homogeneous_system):
     system, cfg = homogeneous_system
-    f, fields = farfield.assemble_far_field_matrix(system, 16, keep_fields=True)
+    f, fields = farfield.assemble_far_field_matrix(system, 16)
     assert np.max(np.abs(f.entries)) <= 1e-12
     # retained total fields are the incident plane waves
     d0 = solver.incident_plane_wave(system.spec, K, (1.0, 0.0))
@@ -70,7 +70,7 @@ def test_far_field_matrix_matches_per_column_reference(tiny_cfg):
     n = 8
     spec = solver.GridSpec(2.0, 0.125, 8)
     system = solver.assemble_system(spec, tiny_cfg, "defective")
-    f, fields = farfield.assemble_far_field_matrix(system, n, keep_fields=True)
+    f, fields = farfield.assemble_far_field_matrix(system, n)
     r_ff = farfield.extraction_radius(tiny_cfg, spec)
     ni, nn = system.n_interior, spec.n_nodes
     ref = np.zeros((n, n), dtype=complex)
