@@ -47,22 +47,17 @@ class RunConfig:
             raise ConfigInvalid(f"noise seed must be >= 0, got {self.noise_seed}")
 
 
-def _tensor_from_dict(d: dict) -> media.SymTensor2:
-    try:
-        return media.SymTensor2(
-            float(d["a11"]), float(d["a12"]), float(d["a22"]),
-            float(d.get("i11", 0.0)), float(d.get("i12", 0.0)), float(d.get("i22", 0.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed tensor {d!r}") from exc
+def _tensor_from_dict(d: dict, key: str) -> media.SymTensor2:
+    return media.SymTensor2(*(  # the imaginary entries i11, i12, i22 default to 0
+        media.json_float(d[e] if e[0] == "a" else d.get(e, 0.0), f"{key}.{e}")
+        for e in ("a11", "a12", "a22", "i11", "i12", "i22")
+    ))
 
 
-def _complex_from(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise SchemaError(f"expected a number or [re, im] pair, got {v!r}")
+def _complex_from(v, key: str) -> complex:
+    if isinstance(v, list) and len(v) == 2:  # [re, im]
+        return complex(media.json_float(v[0], key), media.json_float(v[1], key))
+    return complex(media.json_float(v, key))
 
 
 def _json_int(value, key: str) -> int:
@@ -81,21 +76,22 @@ def parse_run_config(doc: dict) -> RunConfig:
     try:
         host = media.HostRegion(
             media.shape_from_dict(doc["host"]["shape"]),
-            _tensor_from_dict(doc["host"]["A"]),
-            float(doc["host"]["n"]),
+            _tensor_from_dict(doc["host"]["A"], "host.A"),
+            media.json_float(doc["host"]["n"], "host.n"),
         )
         defects = tuple(
             media.Defect(
                 media.shape_from_dict(d["shape"]),
-                _tensor_from_dict(d["A0"]),
-                _complex_from(d["n0"]),
+                _tensor_from_dict(d["A0"], f"defects.{i}.A0"),
+                _complex_from(d["n0"], f"defects.{i}.n0"),
             )
-            for d in doc.get("defects", [])
+            for i, d in enumerate(doc.get("defects", []))
         )
-        scene = media.MediaConfig(host, defects, float(doc["k"]))
+        scene = media.MediaConfig(host, defects, media.json_float(doc["k"], "k"))
         g = doc["grid"]
         grid = solver.GridSpec(
-            float(g["half_extent"]), float(g["h"]),
+            media.json_float(g["half_extent"], "grid.half_extent"),
+            media.json_float(g["h"], "grid.h"),
             _json_int(g.get("pml_cells", solver.GridSpec.pml_cells), "grid.pml_cells"),
         )
         strength = g.get("pml_strength", 0)
@@ -106,8 +102,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         lat = doc.get("lattice", {})
         if not (isinstance(noise, dict) and isinstance(lat, dict)):
             raise SchemaError("noise and lattice must be JSON objects")
-        bounds = lat.get("bounds")
-        bounds = tuple(float(b) for b in (host.shape.bbox() if bounds is None else bounds))
+        bounds = host.shape.bbox() if lat.get("bounds") is None else lat["bounds"]
+        bounds = tuple(media.json_float(b, "lattice.bounds") for b in bounds)
         if len(bounds) != 4:
             raise SchemaError(f"lattice bounds need 4 entries [x0, x1, y0, y1], got {len(bounds)}")
         if not (bounds[0] <= bounds[1] and bounds[2] <= bounds[3]):
@@ -116,12 +112,12 @@ def parse_run_config(doc: dict) -> RunConfig:
             media=scene,
             grid=grid,
             n_dirs=_json_int(doc.get("directions", 32), "directions"),
-            noise_level=float(noise.get("level", 0.0)),
+            noise_level=media.json_float(noise.get("level", 0.0), "noise.level"),
             noise_seed=_json_int(noise.get("seed", 0), "noise.seed"),
             lattice_nx=_json_int(lat.get("nx", 81), "lattice.nx"),
             lattice_ny=_json_int(lat.get("ny", 81), "lattice.ny"),
             lattice_bounds=bounds,
-            floor_rel=float(doc.get("floor_rel", fm.DEFAULT_FLOOR_REL)),
+            floor_rel=media.json_float(doc.get("floor_rel", fm.DEFAULT_FLOOR_REL), "floor_rel"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed run configuration ({exc})") from exc
@@ -218,10 +214,10 @@ def cmd_reconstruct(
     if cfg.noise_level > 0:
         f0 = farfield.add_noise(f0, cfg.noise_level, cfg.noise_seed)
     f = farfield.relative_operator(f0, fb)
-    s = farfield.scattering_operator(fb)
-    _, lam, psi = fm.f_sharp(f, s)
+    s_inv, unitarity = farfield.scattering_operator(fb)
+    _, lam, psi = fm.f_sharp(f, s_inv)
     grid = fm.indicator_grid(
-        lam, psi, fields, s, cfg.media, cfg.lattice_bounds,
+        lam, psi, fields, s_inv, cfg.media, cfg.lattice_bounds,
         cfg.lattice_nx, cfg.lattice_ny, floor_rel=cfg.floor_rel,
     )
 
@@ -233,8 +229,8 @@ def cmd_reconstruct(
         "k": cfg.media.k,
         "N": f0.n,
         "noise": {"level": cfg.noise_level, "seed": cfg.noise_seed},
-        "unitarity_defect": s.unitarity_defect,
-        "assumptions": media.validate_assumptions(cfg.media, h=cfg.grid.h),
+        "unitarity_defect": unitarity,
+        "assumptions": media.validate_assumptions(cfg.media, h=fields.spec.h),
         "floored_modes": grid.floored_modes,
         "no_defect_signal": grid.no_defect_signal,
         "contrast": contrast_statistics(grid, cfg.media),
@@ -266,10 +262,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     rec = farfield.reciprocity_defect(fb)
     checks.append({"name": "reciprocity", "value": rec, "limit": 1e-3, "passed": rec <= 1e-3})
 
-    s = farfield.scattering_operator(fb)
+    unitarity = farfield.scattering_operator(fb)[1]
     checks.append({
-        "name": "unitarity", "value": s.unitarity_defect, "limit": 0.05,
-        "passed": s.unitarity_defect <= 0.05,
+        "name": "unitarity", "value": unitarity, "limit": 0.05, "passed": unitarity <= 0.05,
     })
 
     # mixed reciprocity: gamma * u_b(z, -x_hat) vs a direct point-source solve
@@ -310,18 +305,23 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
 # argument parsing
 
 
+# override flags: (the RunConfig field each sets, type, help); each subcommand
+# declares only the ones it reads
+_FLAGS = {
+    "--noise": ("noise_level", float, "override noise level"),
+    "--seed": ("noise_seed", int, "override noise seed"),
+    "--floor": ("floor_rel", float, "override relative eigenvalue floor"),
+    "--grid-h": ("grid_h", float, "override grid spacing"),
+    "--directions": ("n_dirs", int, "override number of incident/observation directions"),
+}
+
+
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.noise is not None:
-        cfg = replace(cfg, noise_level=float(args.noise))
-    if args.seed is not None:
-        cfg = replace(cfg, noise_seed=int(args.seed))
-    if args.floor is not None:
-        cfg = replace(cfg, floor_rel=float(args.floor))
-    if args.grid_h is not None:
-        cfg = replace(cfg, grid=replace(cfg.grid, h=float(args.grid_h)))
-    if args.directions is not None:
-        cfg = replace(cfg, n_dirs=int(args.directions))
-    return cfg
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    if "grid_h" in given:
+        cfg = replace(cfg, grid=replace(cfg.grid, h=given["grid_h"]))
+    fields = ("noise_level", "noise_seed", "floor_rel", "n_dirs")
+    return replace(cfg, **{f: given[f] for f in fields if f in given})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -340,22 +340,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "anisotropic medium and reconstruct the defect support.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("simulate", "solve the forward problems and save far-field data"),
-        ("reconstruct", "build the defect indicator map from saved data"),
-        ("verify", "run the physics consistency-check suite"),
+    for name, doc, flags in (
+        ("simulate", "solve the forward problems and save far-field data",
+         ("--grid-h", "--directions")),
+        # the grid and the direction count are the data's
+        ("reconstruct", "build the defect indicator map from saved data",
+         ("--noise", "--seed", "--floor")),
+        ("verify", "run the physics consistency-check suite", ("--grid-h", "--directions")),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True,
                        help="path to a run/1 JSON file or a bundled preset name")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--noise", type=float, default=None, help="override noise level")
-        p.add_argument("--seed", type=int, default=None, help="override noise seed")
-        p.add_argument("--floor", type=float, default=None,
-                       help="override relative eigenvalue floor")
-        p.add_argument("--grid-h", type=float, default=None, help="override grid spacing")
-        p.add_argument("--directions", type=int, default=None,
-                       help="override number of incident/observation directions")
+        for flag in flags:
+            dest, kind, text = _FLAGS[flag]
+            p.add_argument(flag, dest=dest, type=kind, help=text)
         if name == "reconstruct":
             p.add_argument("--f0", default=None, help="path to the defective-medium ffm file")
             p.add_argument("--fb", default=None, help="path to the background ffm file")

@@ -59,7 +59,7 @@ class DimensionMismatch(DefectScanError):
 
 
 class SingularScattering(DefectScanError):
-    """LU inversion of the scattering operator failed."""
+    """The scattering operator is singular or too ill-conditioned to invert."""
     exit_code = 3
 
 

@@ -22,7 +22,7 @@ from .errors import (
     NotHermitian,
     PointOutsideD,
 )
-from .farfield import FarFieldMatrix, FieldSet, ScatteringOperator
+from .farfield import FarFieldMatrix, FieldSet
 
 HERMITIAN_TOL = 1e-10
 DEFAULT_FLOOR_REL = 1e-12
@@ -66,20 +66,18 @@ def operator_abs(m: np.ndarray) -> np.ndarray:
 # F-sharp
 
 
-def f_sharp(f: FarFieldMatrix, s: ScatteringOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def f_sharp(f: FarFieldMatrix, s_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F-sharp = |Re(F~)| + |Im(F~)| with F~ = gamma^{-1} S^{-1} W F.
 
     W = (2pi/N) I represents the quadrature of the continuous integral
-    operator.  For a unitary S, S^{-1} = S^*: an operator whose `S_inv` slot
-    holds S^* gives the adjoint preprocessing.  Returns
-    (matrix, lam, psi): F-sharp, its eigenvalues descending with numerical
-    negatives clamped to zero, and the paired eigenvectors as columns.
+    operator.  For a unitary S, S^{-1} = S^*: passing S^* as `s_inv` gives
+    the adjoint preprocessing.  Returns (matrix, lam, psi): F-sharp, its
+    eigenvalues descending with numerical negatives clamped to zero, and the
+    paired eigenvectors as columns.
     """
-    if f.n != s.n:
-        raise DimensionMismatch("far-field matrix and scattering operator disagree in N")
-    if abs(f.k - s.k) > 1e-12 * max(f.k, s.k):
-        raise DimensionMismatch("wavenumber mismatch")
-    f_tilde = (1.0 / solver.gamma2(f.k)) * (s.S_inv @ ((2 * np.pi / f.n) * f.entries))
+    if s_inv.shape != (f.n, f.n):
+        raise DimensionMismatch("far-field matrix and S^-1 disagree in N")
+    f_tilde = (1.0 / solver.gamma2(f.k)) * (s_inv @ ((2 * np.pi / f.n) * f.entries))
     re = 0.5 * (f_tilde + f_tilde.conj().T)
     im = (f_tilde - f_tilde.conj().T) / 2j
     sharp = operator_abs(re) + operator_abs(im)
@@ -106,7 +104,7 @@ def reversed_incidence_samples(fields: FieldSet, points: np.ndarray) -> np.ndarr
 
 
 def test_functions(
-    fields: FieldSet, s: ScatteringOperator, config: media.MediaConfig, points,
+    fields: FieldSet, s_inv: np.ndarray, config: media.MediaConfig, points,
 ) -> np.ndarray:
     """Rows phi_z = S^{-1} g_z, shape (P, N), with g_z[j] = gamma u_b(z, -x_hat_j)
     (see `reversed_incidence_samples`)."""
@@ -114,12 +112,12 @@ def test_functions(
     if not np.all(config.host.shape.contains(points)):
         raise PointOutsideD("every sampling point must lie inside the host D")
     n = len(fields.angles)
-    if n != s.n:
-        raise DimensionMismatch("field set and scattering operator disagree in N")
+    if s_inv.shape != (n, n):
+        raise DimensionMismatch("field set and S^-1 disagree in N")
     if n % 2:
         raise ConfigInvalid("direction set must be closed under negation (N even)")
 
-    return (s.S_inv @ reversed_incidence_samples(fields, points)).T
+    return (s_inv @ reversed_incidence_samples(fields, points)).T
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +179,7 @@ def indicator_grid(
     lam: np.ndarray,
     psi: np.ndarray,
     fields: FieldSet,
-    s: ScatteringOperator,
+    s_inv: np.ndarray,
     config: media.MediaConfig,
     bounds,
     nx: int,
@@ -197,7 +195,7 @@ def indicator_grid(
     if not np.any(mask_flat):
         raise ConfigInvalid("no sampling lattice point lies inside the host D")
     values = np.zeros(nx * ny)
-    phi = test_functions(fields, s, config, pts[mask_flat])
+    phi = test_functions(fields, s_inv, config, pts[mask_flat])
     values[mask_flat], flag = picard_indicator(lam, psi, phi, floor_rel)
     floored = int(np.sum(~kept_modes(lam, floor_rel)))
     return IndicatorGrid(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, SchemaError
 
 # Verdict threshold for "uniformly positive": eigenvalues closer to zero than
 # this are reported as indeterminate rather than satisfied/violated.
@@ -240,15 +240,29 @@ def bounding_radius(shape) -> float:
     return float(np.max(np.hypot(bp[:, 0], bp[:, 1])))
 
 
+def json_float(value, key: str) -> float:
+    """A JSON number as a float; float() would also take true and "1.0", and
+    Python's json module reads NaN and Infinity, which JSON does not have."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SchemaError(f"{key} must be a finite JSON number, got {value!r}")
+    return float(value)
+
+
 def shape_from_dict(d: dict):
+    def num(field):
+        return json_float(d[field], f"{kind} {field}")
+
+    def center():
+        return tuple(json_float(c, f"{kind} center") for c in d["center"])
+
     try:
         kind = d["type"]
         if kind == "circle":
-            return Circle(tuple(d["center"]), float(d["radius"]))
+            return Circle(center(), num("radius"))
         if kind == "ellipse":
-            return Ellipse(tuple(d["center"]), float(d["semi_a"]), float(d["semi_b"]))
+            return Ellipse(center(), num("semi_a"), num("semi_b"))
         if kind == "rectangle":
-            return Rectangle(float(d["xmin"]), float(d["xmax"]), float(d["ymin"]), float(d["ymax"]))
+            return Rectangle(num("xmin"), num("xmax"), num("ymin"), num("ymax"))
         if kind == "union":
             return Union(tuple(shape_from_dict(m) for m in d["members"]))
     except KeyError as exc:

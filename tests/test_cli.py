@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,18 +106,45 @@ def test_malformed_config_rejected(tmp_path):
 
 
 def test_flag_overrides(tiny_config_path, tmp_path):
-    parser_args = [
-        "simulate", "--config", tiny_config_path, "--out", str(tmp_path),
-        "--noise", "0.05", "--seed", "99", "--floor", "1e-8",
-        "--grid-h", "0.25", "--directions", "16",
-    ]
-    args = cli._build_parser().parse_args(parser_args)
-    cfg = cli._apply_overrides(cli.load_run_config(args.config), args)
-    assert cfg.noise_level == 0.05
-    assert cfg.noise_seed == 99
-    assert cfg.floor_rel == 1e-8
-    assert cfg.grid.h == 0.25
-    assert cfg.n_dirs == 16
+    # each subcommand takes the overrides it reads; the rest is as the file says
+    base = cli.load_run_config(tiny_config_path)
+    forward = (
+        ["--grid-h", "0.25", "--directions", "16"],
+        replace(base, grid=replace(base.grid, h=0.25), n_dirs=16),
+    )
+    cases = {
+        "simulate": forward,
+        "verify": forward,
+        "reconstruct": (
+            ["--noise", "0.05", "--seed", "99", "--floor", "1e-8"],
+            replace(base, noise_level=0.05, noise_seed=99, floor_rel=1e-8),
+        ),
+    }
+    for command, (flags, expected) in cases.items():
+        args = cli._build_parser().parse_args(
+            [command, "--config", tiny_config_path, "--out", str(tmp_path), *flags]
+        )
+        assert cli._apply_overrides(cli.load_run_config(args.config), args) == expected
+
+
+# override flags a subcommand does not read: simulate and verify take no noise
+# or floor, and reconstruct takes its grid and direction count from the data
+UNREAD_FLAGS = [
+    *((command, flag) for command in ("simulate", "verify")
+      for flag in ("--noise", "--seed", "--floor")),
+    ("reconstruct", "--grid-h"), ("reconstruct", "--directions"),
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_flags_exit_2(tmp_path, capsys, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "--config", "example1_circle", "--out", "o", flag, "1"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "UsageError" and err["exit_code"] == 2
+    assert flag in err["message"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("noise", [{"level": -0.5}, {"level": 0.01, "seed": -1}])
@@ -415,9 +443,41 @@ def test_reconstruct_rejects_config_wavenumber_mismatch(tiny_simulation, tmp_pat
 
 
 def test_report_records_the_data_direction_count(tiny_simulation, tmp_path):
-    assert _reconstruct(tiny_simulation, tmp_path, "--directions", "16") == 0
+    # the config says 16 directions, the data holds 8
+    cfg = tmp_path / "sixteen.json"
+    cfg.write_text(json.dumps({**TINY_DOC, "directions": 16}))
+    assert _reconstruct(tiny_simulation, tmp_path, config=str(cfg)) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["N"] == TINY_DOC["directions"]
+
+
+def test_reconstruct_checks_assumptions_at_the_data_grid(tiny_simulation, tmp_path):
+    # at h = 0.8 the defect (radius 0.4) has no h margin inside the host
+    # (radius 1), so the config's grid fails the containment check; the data
+    # were simulated at h = 0.125, and reconstruct checks at that h
+    doc = {**TINY_DOC, "grid": {**TINY_DOC["grid"], "h": 0.8}}
+    with pytest.raises(ConfigInvalid):
+        cli.parse_run_config(doc).media.validate(0.8)
+    cfg = tmp_path / "coarse.json"
+    cfg.write_text(json.dumps(doc))
+    assert _reconstruct(tiny_simulation, tmp_path / "coarse", config=str(cfg)) == 0
+    assert _reconstruct(tiny_simulation, tmp_path / "same") == 0
+    for name in ("indicator.csv", "indicator.pgm", "spectrum.csv", "report.json"):
+        assert (tmp_path / "coarse" / name).read_bytes() == (tmp_path / "same" / name).read_bytes()
+
+
+def test_singular_scattering_operator_exits_3_before_any_output(tiny_simulation, tmp_path, capsys):
+    # a background far field so large that adding I rounds away: every entry
+    # of S is the same number, and S has rank 1
+    fb = io.read_ffm(tiny_simulation["fb"])
+    crafted = str(tmp_path / "Fb.ffm.json")
+    huge = np.full((fb.n, fb.n), 1e20 + 0j)
+    io.write_ffm(crafted, farfield.FarFieldMatrix(fb.k, fb.angles, huge))
+    out = tmp_path / "out"
+    assert _reconstruct(tiny_simulation, out, fb=crafted) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SingularScattering" and err["exit_code"] == 3
+    assert os.listdir(out) == []
 
 
 def test_use_adjoint_is_rejected(tiny_simulation, tmp_path, capsys):
@@ -438,7 +498,7 @@ def test_use_adjoint_is_rejected(tiny_simulation, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--config", "example1_circle"],
     ["simulate", "--config", "example1_circle", "--out", "o", "--no-such-flag"],
-    ["verify", "--config", "example1_circle", "--out", "o", "--seed", "abc"],
+    ["verify", "--config", "example1_circle", "--out", "o", "--grid-h", "abc"],
     ["no-such-command"],
 ])
 def test_usage_errors_exit_2_with_the_json_line(tmp_path, capsys, monkeypatch, argv):
@@ -475,6 +535,42 @@ def test_non_integer_counts_exit_2(tmp_path, capsys, key, value):
     assert cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SchemaError" and key in err["message"]
+    assert not os.path.exists(tmp_path / "out" / "F0.ffm.json")
+
+
+# run-file numbers: document path -> the key the error message names
+FLOAT_KEYS = {
+    "k": "k",
+    "host.n": "host.n",
+    "host.A.a11": "host.A.a11",
+    "defects.0.A0.i12": "defects.0.A0.i12",
+    "defects.0.n0": "defects.0.n0",
+    "host.shape.radius": "circle radius",
+    "defects.0.shape.center.1": "circle center",
+    "grid.half_extent": "grid.half_extent",
+    "grid.h": "grid.h",
+    "noise.level": "noise.level",
+    "floor_rel": "floor_rel",
+    "lattice.bounds.0": "lattice.bounds",
+}
+
+
+@pytest.mark.parametrize("value", [True, "1.0", None, float("nan"), float("inf")])
+@pytest.mark.parametrize("path", sorted(FLOAT_KEYS))
+def test_non_numeric_floats_exit_2(tmp_path, capsys, path, value):
+    # float() would take true as 1.0 and "1.0" as a number; json.dumps writes
+    # nan and inf as NaN and Infinity, which json.load reads back
+    doc = json.loads(json.dumps({**TINY_DOC, "noise": {"level": 0.0, "seed": 3}}))
+    *parents, leaf = path.split(".")
+    node = doc
+    for part in parents:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[int(leaf) if isinstance(node, list) else leaf] = value
+    p = tmp_path / "floats.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError" and FLOAT_KEYS[path] in err["message"]
     assert not os.path.exists(tmp_path / "out" / "F0.ffm.json")
 
 
@@ -605,8 +701,7 @@ def test_zero_contrast_full_path(tmp_path):
     fb = io.read_ffm(os.path.join(out, "Fb.ffm.json"))
     assert np.all(f0.entries == 0.0)
     assert np.all(fb.entries == 0.0)
-    s = farfield.scattering_operator(fb)
-    assert np.array_equal(s.S, np.eye(8))
+    assert np.array_equal(farfield.scattering_operator(fb)[0], np.eye(8))
     assert cli.main(["reconstruct", "--config", path, "--out", out]) == 5
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import RectBivariateSpline
 
 from defectscan import farfield, media, solver
-from defectscan.errors import ConfigInvalid, DimensionMismatch
+from defectscan.errors import ConfigInvalid, DimensionMismatch, SingularScattering
 
 K = 1.0
 
@@ -218,7 +218,7 @@ def test_lossless_scattering_operator_is_unitary_property(scene):
     spec = solver.GridSpec(2.0, 0.125, 8)
     for which in ("defective", "background"):
         f, _ = farfield.assemble_far_field_matrix(solver.assemble_system(spec, scene, which), 8)
-        assert farfield.scattering_operator(f).unitarity_defect <= 5e-3
+        assert farfield.scattering_operator(f)[1] <= 5e-3
 
 
 def test_host_must_clear_the_pml_by_4h(tiny_cfg, tiny_grid):
@@ -232,24 +232,56 @@ def test_host_must_clear_the_pml_by_4h(tiny_cfg, tiny_grid):
 # scattering operator
 
 
+def _s_matrix(f):
+    """S = I + 2ik conj(gamma_2) (2 pi / N) F, as scattering_operator builds it."""
+    return np.eye(f.n) + (2j * f.k * np.conj(solver.gamma2(f.k)) * 2 * np.pi / f.n) * f.entries
+
+
 def test_scattering_operator_of_zero_is_identity():
-    s = farfield.scattering_operator(_zero_matrix())
-    assert np.array_equal(s.S, np.eye(16))
-    assert np.array_equal(s.S_inv, np.eye(16))
-    assert s.unitarity_defect == 0.0
+    s_inv, defect = farfield.scattering_operator(_zero_matrix())
+    assert np.array_equal(s_inv, np.eye(16))
+    assert defect == 0.0
 
 
 def test_scattering_operator_unitary_on_analytic_data():
     for a, n_idx in ((0.5, 3.0), (0.9, 1.1)):
-        s = farfield.scattering_operator(_mie_matrix(a, n_idx))
-        assert s.unitarity_defect <= 1e-12
-        assert np.linalg.norm(s.S_inv @ s.S - np.eye(s.n)) <= 1e-10 * np.sqrt(s.n)
+        f = _mie_matrix(a, n_idx)
+        s_inv, defect = farfield.scattering_operator(f)
+        assert defect <= 1e-12
+        assert np.linalg.norm(s_inv @ _s_matrix(f) - np.eye(f.n)) <= 1e-10 * np.sqrt(f.n)
 
 
-def test_scattering_operator_on_simulated_background(ex1_operator):
-    assert ex1_operator.unitarity_defect <= 0.05
-    n = ex1_operator.n
-    assert np.linalg.norm(ex1_operator.S_inv @ ex1_operator.S - np.eye(n)) / np.sqrt(n) <= 1e-10
+def test_scattering_operator_on_simulated_background(ex1_data, ex1_operator):
+    fb = ex1_data[1]
+    s_inv, defect = ex1_operator
+    assert defect <= 0.05
+    assert np.linalg.norm(s_inv @ _s_matrix(fb) - np.eye(fb.n)) / np.sqrt(fb.n) <= 1e-10
+
+
+def test_exactly_singular_scattering_operator_is_rejected():
+    # entries so large that adding I rounds away: every entry of S is the same
+    # number, so S has rank 1 and its LU meets an exact zero pivot
+    f = farfield.FarFieldMatrix(K, farfield.direction_angles(8), np.full((8, 8), 1e20 + 0j))
+    assert len(np.unique(_s_matrix(f))) == 1
+    with pytest.raises(SingularScattering):
+        farfield.scattering_operator(f)
+
+
+def test_ill_conditioned_scattering_operator_is_rejected():
+    # S = diag(1, ..., 1e-15) is inverted exactly, so the inverse residual
+    # passes; only the condition bound rejects it
+    n = 8
+    c = 2j * K * np.conj(solver.gamma2(K)) * 2 * np.pi / n
+    entries = np.zeros((n, n), dtype=complex)
+    entries[-1, -1] = (1e-15 - 1.0) / c
+    f = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
+    s = _s_matrix(f)
+    diag = np.diag(s)
+    assert np.array_equal(s, np.diag(diag)) and np.all(diag[:-1] == 1.0)
+    assert 5e-16 < abs(diag[-1]) < 2e-15
+    assert np.linalg.norm(np.linalg.inv(s) @ s - np.eye(n)) / np.sqrt(n) <= 1e-10
+    with pytest.raises(SingularScattering):
+        farfield.scattering_operator(f)
 
 
 # ---------------------------------------------------------------------------

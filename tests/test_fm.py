@@ -21,9 +21,10 @@ def _random_hermitian(rng, n):
 
 
 def _identity_operator(n=16):
+    """S^-1 of a background that scatters nothing: the identity."""
     ang = farfield.direction_angles(n)
     zero = farfield.FarFieldMatrix(K, ang, np.zeros((n, n), dtype=complex))
-    return farfield.scattering_operator(zero)
+    return farfield.scattering_operator(zero)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +116,10 @@ def test_operator_abs_spectrum(rng):
 
 
 def test_f_sharp_zero():
-    s = _identity_operator()
+    s_inv = _identity_operator()
     f = farfield.FarFieldMatrix(K, farfield.direction_angles(16),
                                 np.zeros((16, 16), dtype=complex))
-    mat, lam, _ = fm.f_sharp(f, s)
+    mat, lam, _ = fm.f_sharp(f, s_inv)
     assert np.all(mat == 0.0)
     assert np.all(lam == 0.0)
 
@@ -126,19 +127,19 @@ def test_f_sharp_zero():
 def test_f_sharp_hermitian_psd_input(rng):
     # craft F so that the preprocessed matrix equals a known Hermitian PSD H
     n = 16
-    s = _identity_operator(n)
+    s_inv = _identity_operator(n)
     m = _random_hermitian(rng, n)
     h = m @ m.conj().T
     entries = solver.gamma2(K) * (n / (2 * np.pi)) * h
     f = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
-    mat, _, _ = fm.f_sharp(f, s)
+    mat, _, _ = fm.f_sharp(f, s_inv)
     assert np.linalg.norm(mat - h) <= 1e-9 * np.linalg.norm(h)
 
 
 def test_f_sharp_is_hermitian_psd(ex1_data, ex1_operator):
     f0, fb, _ = ex1_data
     f = farfield.relative_operator(f0, fb)
-    mat, lam, _ = fm.f_sharp(f, ex1_operator)
+    mat, lam, _ = fm.f_sharp(f, ex1_operator[0])
     assert np.linalg.norm(mat - mat.conj().T) <= 1e-12 * np.linalg.norm(mat)
     assert np.all(lam >= 0.0)
     assert lam[0] > 0
@@ -147,18 +148,18 @@ def test_f_sharp_is_hermitian_psd(ex1_data, ex1_operator):
 def test_f_sharp_spectrum_decay(ex1_data, ex1_operator):
     # regression baseline: many orders of decay between extreme eigenvalues
     f0, fb, _ = ex1_data
-    _, lam, _ = fm.f_sharp(farfield.relative_operator(f0, fb), ex1_operator)
+    _, lam, _ = fm.f_sharp(farfield.relative_operator(f0, fb), ex1_operator[0])
     assert lam[-1] <= 1e-6 * lam[0]
 
 
 def test_f_sharp_scaling_covariance(rng):
     n = 16
-    s = _identity_operator(n)
+    s_inv = _identity_operator(n)
     entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     f1 = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
     f2 = farfield.FarFieldMatrix(K, farfield.direction_angles(n), 2.5 * entries)
-    _, lam1, psi1 = fm.f_sharp(f1, s)
-    _, lam2, psi2 = fm.f_sharp(f2, s)
+    _, lam1, psi1 = fm.f_sharp(f1, s_inv)
+    _, lam2, psi2 = fm.f_sharp(f2, s_inv)
     assert np.allclose(lam2, 2.5 * lam1, atol=1e-10 * lam1[0])
     # indicator values scale, ranking is invariant
     phi = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
@@ -171,18 +172,16 @@ def test_f_sharp_scaling_covariance(rng):
 @settings(max_examples=20, deadline=None)
 @given(n=st.sampled_from([8, 16]), seed=st.integers(0, 2**32 - 1))
 def test_f_sharp_hermitian_psd_property(n, seed):
-    # any F with any unitary S: both preprocessings, S^-1 and S* (an operator
-    # holding S* in its inverse slot), give a Hermitian PSD F#, and they agree
-    # since S^-1 = S* for unitary S
+    # any F with any unitary S: both preprocessings, S^-1 and S* (passed as
+    # s_inv), give a Hermitian PSD F#, and they agree since S^-1 = S* for
+    # unitary S
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    inverse = farfield.ScatteringOperator(K, n, q, np.linalg.inv(q), 0.0)
-    adjoint = farfield.ScatteringOperator(K, n, q, q.conj().T, 0.0)
     f = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
     sharps = []
-    for s in (inverse, adjoint):
-        m, lam, _ = fm.f_sharp(f, s)
+    for s_inv in (np.linalg.inv(q), q.conj().T):
+        m, lam, _ = fm.f_sharp(f, s_inv)
         assert np.array_equal(m, m.conj().T)
         # PSD before the clamp to zero
         pre = np.linalg.eigvalsh(m)
@@ -205,9 +204,9 @@ def test_f_sharp_mismatch(ex1_data):
 def test_test_functions_zero_contrast(homogeneous_system):
     system, cfg = homogeneous_system
     _, fields = farfield.assemble_far_field_matrix(system, 16)
-    s = _identity_operator(16)
+    s_inv = _identity_operator(16)
     pts = np.array([[0.2, -0.3], [0.0, 0.5]])
-    phi = fm.test_functions(fields, s, cfg, pts)
+    phi = fm.test_functions(fields, s_inv, cfg, pts)
     assert phi.shape == (2, 16)
     ang = farfield.direction_angles(16)
     for p, row in zip(pts, phi):
@@ -220,7 +219,9 @@ def test_test_functions_zero_contrast(homogeneous_system):
 def test_test_functions_validation(ex1_cfg, ex1_data, ex1_operator):
     _, _, fields = ex1_data
     with pytest.raises(PointOutsideD):
-        fm.test_functions(fields, ex1_operator, ex1_cfg.media, [[3.0, 0.0]])
+        fm.test_functions(fields, ex1_operator[0], ex1_cfg.media, [[3.0, 0.0]])
+    with pytest.raises(DimensionMismatch):  # S^-1 of 16 directions, fields of 32
+        fm.test_functions(fields, _identity_operator(16), ex1_cfg.media, [[0.0, 0.0]])
 
 
 def test_test_functions_grid_shift_invariance(tiny_cfg):
@@ -232,8 +233,8 @@ def test_test_functions_grid_shift_invariance(tiny_cfg):
         fb, fields = farfield.assemble_far_field_matrix(
             solver.assemble_system(spec, tiny_cfg, "background"), 16
         )
-        s = farfield.scattering_operator(fb)
-        phis.append(fm.test_functions(fields, s, tiny_cfg, [[0.2, -0.1]])[0])
+        s_inv = farfield.scattering_operator(fb)[0]
+        phis.append(fm.test_functions(fields, s_inv, tiny_cfg, [[0.2, -0.1]])[0])
     diff = np.linalg.norm(phis[0] - phis[1]) / np.linalg.norm(phis[0])
     assert diff <= 1e-2
 
@@ -292,9 +293,9 @@ def test_picard_floor_validation():
 
 def test_indicator_grid_masks_outside(ex1_cfg, ex1_data, ex1_operator):
     f0, fb, fields = ex1_data
-    _, lam, psi = fm.f_sharp(farfield.relative_operator(f0, fb), ex1_operator)
+    _, lam, psi = fm.f_sharp(farfield.relative_operator(f0, fb), ex1_operator[0])
     grid = fm.indicator_grid(
-        lam, psi, fields, ex1_operator, ex1_cfg.media, (-3, 3, -3, 3), 31, 31
+        lam, psi, fields, ex1_operator[0], ex1_cfg.media, (-3, 3, -3, 3), 31, 31
     )
     assert grid.values.shape == (31, 31)
     assert np.all(grid.values[~grid.mask] == 0.0)
