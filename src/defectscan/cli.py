@@ -60,13 +60,6 @@ def _complex_from(v, key: str) -> complex:
     return complex(media.json_float(v, key))
 
 
-def _json_int(value, key: str) -> int:
-    # int() would truncate 16.7 and turn true into 1
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{key} must be a JSON integer, got {value!r}")
-    return value
-
-
 def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict) or doc.get("schema") != "run/1":
         raise SchemaError("run configuration must be an object declaring schema run/1")
@@ -92,7 +85,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         grid = solver.GridSpec(
             media.json_float(g["half_extent"], "grid.half_extent"),
             media.json_float(g["h"], "grid.h"),
-            _json_int(g.get("pml_cells", solver.GridSpec.pml_cells), "grid.pml_cells"),
+            media.json_int(g.get("pml_cells", solver.GridSpec.pml_cells), "grid.pml_cells"),
         )
         strength = g.get("pml_strength", 0)
         if isinstance(strength, bool) or strength != 0:
@@ -111,11 +104,11 @@ def parse_run_config(doc: dict) -> RunConfig:
         return RunConfig(
             media=scene,
             grid=grid,
-            n_dirs=_json_int(doc.get("directions", 32), "directions"),
+            n_dirs=media.json_int(doc.get("directions", 32), "directions"),
             noise_level=media.json_float(noise.get("level", 0.0), "noise.level"),
-            noise_seed=_json_int(noise.get("seed", 0), "noise.seed"),
-            lattice_nx=_json_int(lat.get("nx", 81), "lattice.nx"),
-            lattice_ny=_json_int(lat.get("ny", 81), "lattice.ny"),
+            noise_seed=media.json_int(noise.get("seed", 0), "noise.seed"),
+            lattice_nx=media.json_int(lat.get("nx", 81), "lattice.nx"),
+            lattice_ny=media.json_int(lat.get("ny", 81), "lattice.ny"),
             lattice_bounds=bounds,
             floor_rel=media.json_float(doc.get("floor_rel", fm.DEFAULT_FLOOR_REL), "floor_rel"),
         )
@@ -188,10 +181,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     # each system is a temporary, freed before the next is factorized, and
     # the defective medium's fields are dropped on return
     f0 = farfield.assemble_far_field_matrix(
-        solver.assemble_system(cfg.grid, cfg.media, "defective"), cfg.n_dirs
+        solver.assemble_system(cfg.grid, cfg.media), cfg.n_dirs
     )[0]
     fb, fields = farfield.assemble_far_field_matrix(
-        solver.assemble_system(cfg.grid, cfg.media, "background"), cfg.n_dirs
+        solver.assemble_system(cfg.grid, cfg.media.background()), cfg.n_dirs
     )
     io.write_ffm(os.path.join(out_dir, "F0.ffm.json"), f0)
     io.write_ffm(os.path.join(out_dir, "Fb.ffm.json"), fb)
@@ -256,8 +249,11 @@ def _mie_applicable(scene: media.MediaConfig) -> bool:
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     """Run the consistency-check suite and write a pass/fail report."""
     checks = []
-    # one factorization of the background serves the plane waves and the point source
-    system = solver.assemble_system(cfg.grid, cfg.media, "background")
+    # the whole scene must be valid; one factorization of its background
+    # serves the plane waves and the point source
+    cfg.media.validate(cfg.grid.h)
+    cfg.grid.validate_for(cfg.media)
+    system = solver.assemble_system(cfg.grid, cfg.media.background())
     fb, fields = farfield.assemble_far_field_matrix(system, cfg.n_dirs)
     rec = farfield.reciprocity_defect(fb)
     checks.append({"name": "reciprocity", "value": rec, "limit": 1e-3, "passed": rec <= 1e-3})

@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 
-from . import solver
+from . import media, solver
 from .errors import ConfigInvalid, SchemaError
 from .farfield import FarFieldMatrix, FieldSet
 
@@ -34,6 +34,13 @@ def _atomic_write(path: str, payload: bytes):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _wavenumber(value, path: str) -> float:
+    k = media.json_float(value, f"{path}: k")
+    if k <= 0:
+        raise SchemaError(f"{path}: k must be positive, got {k!r}")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +68,10 @@ def read_ffm(path: str) -> FarFieldMatrix:
     if not isinstance(doc, dict) or doc.get("schema") != "ffm/1":
         raise SchemaError(f"{path}: expected schema ffm/1")
     try:
-        n = int(doc["N"])
+        n = media.json_int(doc["N"], f"{path}: N")
         angles = np.asarray(doc["angles"], dtype=float)
         entries = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
-        k = float(doc["k"])
+        k = _wavenumber(doc["k"], path)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed ffm document ({exc})") from exc
     if angles.shape != (n,) or entries.shape != (n, n):
@@ -111,11 +118,15 @@ def read_fields(path: str) -> FieldSet:
         g = header["grid"]
         # files written before the collar strength was fixed also carry
         # "pml_strength": 0, which sampling the fields does not need
-        spec = solver.GridSpec(float(g["half_extent"]), float(g["h"]), int(g["pml_cells"]))
-        n = int(header["N"])
-        nn = int(header["nodes"])
+        spec = solver.GridSpec(
+            media.json_float(g["half_extent"], f"{path}: grid.half_extent"),
+            media.json_float(g["h"], f"{path}: grid.h"),
+            media.json_int(g["pml_cells"], f"{path}: grid.pml_cells"),
+        )
+        n = media.json_int(header["N"], f"{path}: N")
+        nn = media.json_int(header["nodes"], f"{path}: nodes")
         angles = np.asarray(header["angles"], dtype=float)
-        k = float(header["k"])
+        k = _wavenumber(header["k"], path)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed fields header ({exc})") from exc
     if nn != spec.n_nodes or angles.shape != (n,):

@@ -9,7 +9,7 @@ complex.  Coefficients are piecewise constant per region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -248,12 +248,22 @@ def json_float(value, key: str) -> float:
     return float(value)
 
 
+def json_int(value, key: str) -> int:
+    """A JSON integer; int() would truncate 16.7 and turn true into 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def shape_from_dict(d: dict):
     def num(field):
         return json_float(d[field], f"{kind} {field}")
 
     def center():
-        return tuple(json_float(c, f"{kind} center") for c in d["center"])
+        c = d["center"]
+        if not isinstance(c, list) or len(c) != 2:
+            raise SchemaError(f"{kind} center must be two numbers, got {c!r}")
+        return tuple(json_float(v, f"{kind} center") for v in c)
 
     try:
         kind = d["type"]
@@ -364,6 +374,10 @@ class MediaConfig:
                 f"defect {idx} is not strictly inside the host (margin {margin:g})"
             )
 
+    def background(self) -> "MediaConfig":
+        """The same host without its defects: the background medium."""
+        return replace(self, defects=())
+
     def max_index(self) -> float:
         return max([self.host.n] + [complex(d.n0).real for d in self.defects] + [1.0])
 
@@ -378,30 +392,30 @@ class MediaConfig:
         return 2 * np.pi / (self.k * math.sqrt(self.max_index() / self.min_tensor_eig()))
 
 
-def sample_grid(config: MediaConfig, xs, ys, background: bool = False):
-    """Vectorized coefficient sampling on a tensor grid, or on a batch of them:
+def sample_grid(config: MediaConfig, xs, ys) -> np.ndarray:
+    """Region index of each point of a tensor grid, or of a batch of them:
     leading axes of xs (..., nx) and ys (..., ny) broadcast.
 
-    Returns complex arrays (a11, a12, a22, n), each of shape (..., ny, nx).
+    Returns an integer array of shape (..., ny, nx): 0 outside the host, 1 in
+    the host, 2 + i in defect i; `coefficient_table` holds each region's row.
     """
     xs, ys = np.asarray(xs, float), np.asarray(ys, float)
     xx, yy = np.broadcast_arrays(xs[..., None, :], ys[..., :, None])
     pts = np.stack((xx, yy), axis=-1)
-    a11 = np.ones(xx.shape, dtype=complex)
-    a12 = np.zeros(xx.shape, dtype=complex)
-    a22 = np.ones(xx.shape, dtype=complex)
-    n = np.ones(xx.shape, dtype=complex)
-    host = config.host.shape.contains(pts)
+    region = config.host.shape.contains(pts).astype(np.intp)
+    for i, d in enumerate(config.defects):
+        region[d.shape.contains(pts)] = 2 + i
+    return region
+
+
+def coefficient_table(config: MediaConfig) -> np.ndarray:
+    """Complex (a11, a12, a22, n) row of each region `sample_grid` labels."""
     A = config.host.A
-    a11[host], a12[host], a22[host] = A.a11, A.a12, A.a22
-    n[host] = config.host.n
-    if not background:
-        for d in config.defects:
-            m = d.shape.contains(pts)
-            c = d.A0.cmat()
-            a11[m], a12[m], a22[m] = c[0, 0], c[0, 1], c[1, 1]
-            n[m] = complex(d.n0)
-    return a11, a12, a22, n
+    rows = [(1.0, 0.0, 1.0, 1.0), (A.a11, A.a12, A.a22, config.host.n)]
+    for d in config.defects:
+        c = d.A0.cmat()
+        rows.append((c[0, 0], c[0, 1], c[1, 1], complex(d.n0)))
+    return np.array(rows, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -178,56 +178,49 @@ def _stretch(coords, L, T, k, strength):
     return 1.0 + 1j * sigma / k
 
 
-def _subcell_average(config, xs, ys, h, background):
-    """Material coefficients averaged over h x h patches centered on a grid.
+def _subcell_average(config, xs, ys, h, column):
+    """Column `column` of `media.coefficient_table` averaged over h x h patches on a grid.
 
     Volume-fraction averaging smears the staircase error of piecewise-constant
     media over material interfaces; away from interfaces it is exact.  The
     SUBCELLS x SUBCELLS subsamples of a patch lie within 15 sqrt(2) h / 32 of its centre,
     so a patch whose centre is more than h / sqrt(2) from every material
-    boundary (host, and defects unless `background`) is uniform and takes its
-    centre value.  Only the narrow band of the remaining patches is
-    subsampled, so the cost grows with perimeter / h rather than area / h^2.
-    Returns (a11, a12, a22, n) arrays of shape (len(ys), len(xs)).
+    boundary is uniform and takes its centre value.  Only the narrow band of
+    the remaining patches is subsampled, so the cost grows with perimeter / h
+    rather than area / h^2.  Returns an array of shape (len(ys), len(xs)).
     """
-    xs = np.asarray(xs, float)
-    ys = np.asarray(ys, float)
-    out = media.sample_grid(config, xs, ys, background)
-    shapes = [config.host.shape] + ([] if background else [d.shape for d in config.defects])
+    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
+    table = media.coefficient_table(config)[:, column]
+    out = table[media.sample_grid(config, xs, ys)]
+    shapes = [config.host.shape] + [d.shape for d in config.defects]
     pts = np.stack(np.meshgrid(xs, ys), axis=-1)
     near = np.min([s.boundary_distance(pts) for s in shapes], axis=0) <= h / math.sqrt(2)
     iy, ix = np.nonzero(near)
     offs = h * ((np.arange(SUBCELLS) + 0.5) / SUBCELLS - 0.5)
-    sub = media.sample_grid(config, xs[ix, None] + offs, ys[iy, None] + offs, background)
-    for a, v in zip(out, sub):
-        # x offsets summed first, then y offsets in sequence (cumsum keeps the order)
-        a[iy, ix] = v.sum(axis=2).cumsum(axis=1)[:, -1] / (SUBCELLS * SUBCELLS)
+    sub = table[media.sample_grid(config, xs[ix, None] + offs, ys[iy, None] + offs)]
+    # x offsets summed first, then y offsets in sequence (cumsum keeps the order)
+    out[iy, ix] = sub.sum(axis=2).cumsum(axis=1)[:, -1] / (SUBCELLS * SUBCELLS)
     return out
 
 
 class FactorizedSystem:
-    """Factorized discretization of one medium (background or defective)."""
+    """Factorized discretization of one medium: a scene, or its background."""
 
-    def __init__(self, spec: GridSpec, config: media.MediaConfig, which: str):
-        if which not in ("background", "defective"):
-            raise ConfigInvalid("which must be 'background' or 'defective'")
+    def __init__(self, spec: GridSpec, config: media.MediaConfig):
         self.spec = spec
         self.config = config
         self.k = config.k
 
-        c = spec.coords()
-        self._coords = c
-        h = spec.h
-        k = self.k
-        bg = which == "background"
+        self._coords = c = spec.coords()
+        h, k = spec.h, self.k
         cf = c[:-1] + h / 2  # face / cell-center coordinates
 
         # subcell-averaged coefficients at x-faces, y-faces, cell centers and
         # nodes; the same arrays drive both the operator and the contrast RHS
-        self._face_x = _subcell_average(config, cf, c, h, bg)[0]       # a11
-        self._face_y = _subcell_average(config, c, cf, h, bg)[2]       # a22
-        self._cc = _subcell_average(config, cf, cf, h, bg)[1]          # a12
-        self._n = _subcell_average(config, c, c, h, bg)[3]
+        self._face_x = _subcell_average(config, cf, c, h, 0)   # a11
+        self._face_y = _subcell_average(config, c, cf, h, 2)   # a22
+        self._cc = _subcell_average(config, cf, cf, h, 1)      # a12
+        self._n = _subcell_average(config, c, c, h, 3)
 
         strength = spec.resolved_strength(k)
         L, T = spec.half_extent, spec.pml_width
@@ -331,11 +324,11 @@ class FactorizedSystem:
         return float(np.linalg.norm(self.op @ x - b) / np.linalg.norm(b))
 
 
-def assemble_system(spec: GridSpec, config: media.MediaConfig, which: str) -> FactorizedSystem:
-    """Check the scene and grid invariants, then discretize and factorize one medium."""
+def assemble_system(spec: GridSpec, config: media.MediaConfig) -> FactorizedSystem:
+    """Check the scene and grid invariants, then discretize and factorize the medium."""
     config.validate(spec.h)
     spec.validate_for(config)
-    return FactorizedSystem(spec, config, which)
+    return FactorizedSystem(spec, config)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_criterion_1_forward_solver_oracle_parity():
     # 16 PML cells, not the default 8, keeps the statistic comparable with its
     # first records (8.25e-3; 8.27e-3 at 8 cells)
     spec = solver.GridSpec(3.5, 7.0 / cells, 16)
-    system = solver.assemble_system(spec, cfg, "background")
+    system = solver.assemble_system(spec, cfg)
     f = solver.solve_plane_wave(system, (1.0, 0.0))
     ff = solver.far_field(spec, f, 1.0, 2.0, ANGLES64)
     exact = solver.mie_far_field(0.9, 1.1, 1.0, 1.0, 0.0, ANGLES64)
@@ -116,7 +116,7 @@ def test_criterion_3_scattering_operator_unitarity(ex1_operator):
 def test_criterion_4_mixed_reciprocity(ex1_cfg, ex1_data):
     t0 = time.perf_counter()
     _, _, fields = ex1_data
-    system = solver.assemble_system(ex1_cfg.grid, ex1_cfg.media, "background")
+    system = solver.assemble_system(ex1_cfg.grid, ex1_cfg.media.background())
     c = ex1_cfg.grid.coords()
     n = ex1_cfg.n_dirs
     gam = solver.gamma2(ex1_cfg.media.k)

@@ -574,9 +574,18 @@ def test_non_numeric_floats_exit_2(tmp_path, capsys, path, value):
     assert not os.path.exists(tmp_path / "out" / "F0.ffm.json")
 
 
+def _defect_center(center) -> bytes:
+    doc = json.loads(json.dumps(TINY_DOC))
+    doc["defects"][0]["shape"]["center"] = center
+    return json.dumps(doc).encode()
+
+
 # inputs that are not the documented documents: (the reconstruct input they
 # replace, file contents, or None for a directory)
 MALFORMED = {
+    "defect center has three numbers": ("config", _defect_center([0.0, 0.0, 5.0])),
+    "defect center has one number": ("config", _defect_center([0.0])),
+    "defect center is a number": ("config", _defect_center(0.0)),
     "run document is a list": ("config", json.dumps([TINY_DOC]).encode()),
     "noise is a number": ("config", json.dumps({**TINY_DOC, "noise": 0.02}).encode()),
     "lattice is a list": ("config", json.dumps({**TINY_DOC, "lattice": [1, 2]}).encode()),
@@ -609,6 +618,46 @@ def test_malformed_inputs_exit_2(tiny_simulation, tmp_path, capsys, case):
     assert not out.exists() or os.listdir(out) == []  # nothing written
 
 
+# data-file header values: (reconstruct input, header key, bad values); k
+# must also be positive, and counts must be JSON integers
+NOT_FLOATS = [True, "1.0", None, float("nan"), float("inf")]
+NOT_INTS = [8.7, True, "8"]
+BAD_HEADERS = [
+    (name, key, value)
+    for name, keys in (
+        ("f0", {"k": NOT_FLOATS + [-1.0, 0.0], "N": NOT_INTS}),
+        ("fb", {"k": NOT_FLOATS + [-1.0, 0.0], "N": NOT_INTS}),
+        ("fields", {
+            "k": NOT_FLOATS + [-1.0, 0.0], "N": NOT_INTS, "nodes": NOT_INTS,
+            "grid.half_extent": NOT_FLOATS, "grid.h": NOT_FLOATS, "grid.pml_cells": NOT_INTS,
+        }),
+    )
+    for key, values in keys.items()
+    for value in values
+]
+
+
+@pytest.mark.parametrize("name, key, value", BAD_HEADERS)
+def test_non_numeric_data_headers_exit_2(tiny_simulation, tmp_path, capsys, name, key, value):
+    # float() and int() would take "1.0", true and 8.7, and a NaN k ran on to
+    # exit 0 with a flat map; every data file follows the run file's rules
+    with open(tiny_simulation[name], "rb") as fh:
+        head, payload = fh.readline(), fh.read()  # the ffm documents are one line
+    doc = json.loads(head)
+    *parents, leaf = key.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    path = tmp_path / "input"
+    path.write_bytes(json.dumps(doc).encode() + (b"\n" + payload if payload else b""))
+    out = tmp_path / "out"
+    assert _reconstruct(tiny_simulation, out, **{name: str(path)}) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError" and f"{path}: {key}" in err["message"]
+    assert not out.exists() or os.listdir(out) == []  # nothing written
+
+
 def test_pml_strength_zero_still_parses(tmp_path):
     # the collar strength is fixed at 30 / (k T); a run file may still say 0,
     # the value that selected it before
@@ -638,17 +687,18 @@ def test_each_medium_is_factorized_once(tiny_config_path, tmp_path, monkeypatch)
     built = []
     assemble = solver.assemble_system
 
-    def counted(spec, config, which):
-        built.append(which)
-        return assemble(spec, config, which)
+    def counted(spec, config):
+        built.append(len(config.defects))
+        return assemble(spec, config)
 
     monkeypatch.setattr(solver, "assemble_system", counted)
+    # the tiny scene has one defect: the scene and its defect-free background
     assert cli.main(["simulate", "--config", tiny_config_path, "--out", str(tmp_path / "s")]) == 0
-    assert sorted(built) == ["background", "defective"]
+    assert sorted(built) == [0, 1]
     built.clear()
     # verify shares one background system between plane waves and point source
     assert cli.main(["verify", "--config", tiny_config_path, "--out", str(tmp_path / "v")]) == 0
-    assert built == ["background"]
+    assert built == [0]
 
 
 def test_host_too_close_to_pml_exit_code(tmp_path, capsys):
@@ -729,6 +779,30 @@ def test_verify_command(tmp_path):
     assert names == {"reciprocity", "unitarity", "mixed_reciprocity", "mie_parity"}
     mie = next(c for c in report["checks"] if c["name"] == "mie_parity")
     assert "skipped" not in mie and mie["value"] <= 1e-2
+
+
+def _overlapping_defects_path(tmp_path):
+    doc = json.loads(json.dumps(TINY_DOC))
+    second = {**doc["defects"][0], "shape": {"type": "circle", "center": [0.3, 0.0], "radius": 0.4}}
+    doc["defects"].append(second)
+    p = tmp_path / "overlap.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    # the defect's wavelength, not the host's (lambda_min/10 = 0.2565), sets the limit
+    ("example3_aniso_defects", ["--grid-h", "0.2"], "h 0.2 exceeds lambda_min/10 = 0.140286"),
+    (None, [], "union members overlap"),
+])
+def test_verify_rejects_an_invalid_scene(tmp_path, capsys, config, flags, message):
+    # verify solves the background alone, but checks the whole scene first
+    config = config or _overlapping_defects_path(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--config", config, "--out", str(out), *flags]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid" and message in err["message"]
+    assert not (out / "report.json").exists()
 
 
 def test_verify_skips_mie_for_noncircular_host(tiny_config_path, tmp_path):

@@ -69,7 +69,7 @@ def _reference_far_field(spec, u, k, r_ff, angles, m_quad=256):
 def test_far_field_matrix_matches_per_column_reference(tiny_cfg):
     n = 8
     spec = solver.GridSpec(2.0, 0.125, 8)
-    system = solver.assemble_system(spec, tiny_cfg, "defective")
+    system = solver.assemble_system(spec, tiny_cfg)
     f, fields = farfield.assemble_far_field_matrix(system, n)
     r_ff = farfield.extraction_radius(tiny_cfg, spec)
     ni, nn = system.n_interior, spec.n_nodes
@@ -126,8 +126,8 @@ def test_rotationally_symmetric_scene_is_circulant():
         K,
     )
     spec = solver.GridSpec(3.0, 0.05, 16)
-    f0, _ = farfield.assemble_far_field_matrix(solver.assemble_system(spec, cfg, "defective"), 16)
-    fb, _ = farfield.assemble_far_field_matrix(solver.assemble_system(spec, cfg, "background"), 16)
+    f0, _ = farfield.assemble_far_field_matrix(solver.assemble_system(spec, cfg), 16)
+    fb, _ = farfield.assemble_far_field_matrix(solver.assemble_system(spec, cfg.background()), 16)
     f = farfield.relative_operator(f0, fb)
     n = f.n
     dev = max(
@@ -179,9 +179,9 @@ def test_quarter_turn_rolls_far_field_matrices(
         defect = media.Defect(media.Circle(c(defect_c), defect_r), t(defect_a), complex(defect_n, 0.1))
         return media.MediaConfig(host, (defect,), K)
 
-    for which in ("defective", "background"):
+    for medium in (scene, lambda turn: scene(turn).background()):
         f, turned = (
-            farfield.assemble_far_field_matrix(solver.assemble_system(spec, scene(turn), which), n)[0]
+            farfield.assemble_far_field_matrix(solver.assemble_system(spec, medium(turn)), n)[0]
             for turn in (False, True)
         )
         rolled = np.roll(f.entries, (n // 4, n // 4), axis=(0, 1))
@@ -204,7 +204,7 @@ def test_background_reciprocity_property(scene):
     # the discrete operator is complex symmetric, so Fb is reciprocal up to the
     # far-field extraction error; on this grid 30 random scenes measured at
     # most 2.6e-3 (3.0e-3 for F0)
-    system = solver.assemble_system(solver.GridSpec(2.0, 0.125, 8), scene, "background")
+    system = solver.assemble_system(solver.GridSpec(2.0, 0.125, 8), scene.background())
     fb, _ = farfield.assemble_far_field_matrix(system, 8)
     assert farfield.reciprocity_defect(fb) <= 1e-2
 
@@ -216,14 +216,14 @@ def test_lossless_scattering_operator_is_unitary_property(scene):
     # fields is unitary up to discretization; on this grid 30 random scenes
     # measured unitarity defects of at most 8.3e-4
     spec = solver.GridSpec(2.0, 0.125, 8)
-    for which in ("defective", "background"):
-        f, _ = farfield.assemble_far_field_matrix(solver.assemble_system(spec, scene, which), 8)
+    for medium in (scene, scene.background()):
+        f, _ = farfield.assemble_far_field_matrix(solver.assemble_system(spec, medium), 8)
         assert farfield.scattering_operator(f)[1] <= 5e-3
 
 
 def test_host_must_clear_the_pml_by_4h(tiny_cfg, tiny_grid):
     # host radius 1.0 = L - 4h: no extraction circle fits between host and PML
-    system = solver.assemble_system(tiny_grid, tiny_cfg, "background")
+    system = solver.assemble_system(tiny_grid, tiny_cfg.background())
     with pytest.raises(ConfigInvalid):
         farfield.assemble_far_field_matrix(system, 8)
 

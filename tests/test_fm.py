@@ -231,7 +231,7 @@ def test_test_functions_grid_shift_invariance(tiny_cfg):
     for L in (2.0, 2.0 + h / 2):
         spec = solver.GridSpec(L, h, 8)
         fb, fields = farfield.assemble_far_field_matrix(
-            solver.assemble_system(spec, tiny_cfg, "background"), 16
+            solver.assemble_system(spec, tiny_cfg.background()), 16
         )
         s_inv = farfield.scattering_operator(fb)[0]
         phis.append(fm.test_functions(fields, s_inv, tiny_cfg, [[0.2, -0.1]])[0])

@@ -180,68 +180,120 @@ def test_min_wavelength_formula():
 # coefficient sampling
 
 
-def _pointwise_coefficients(config, p, background=False):
-    """Reference: coefficients (SymTensor2, complex n) of the medium at one point,
-    with the defects ignored when `background`; outside D they are (I, 1)."""
+def _pointwise_coefficients(config, p):
+    """Reference: coefficients (SymTensor2, complex n) of the medium at one point;
+    outside D they are (I, 1)."""
     pt = np.asarray(p, dtype=float).reshape(1, 2)
-    if not background:
-        for d in config.defects:
-            if bool(d.shape.contains(pt)[0]):
-                return d.A0, complex(d.n0)
+    for d in config.defects:
+        if bool(d.shape.contains(pt)[0]):
+            return d.A0, complex(d.n0)
     if bool(config.host.shape.contains(pt)[0]):
         return config.host.A, complex(config.host.n)
     return media.SymTensor2.identity(), 1.0 + 0.0j
 
 
-def _grid_coefficients_at(config, p, background=False):
-    """sample_grid on the one-point grid at p, as (a11, a12, a22, n) scalars."""
-    return tuple(v[0, 0] for v in media.sample_grid(config, [p[0]], [p[1]], background))
+def _coefficients(config, xs, ys):
+    """(a11, a12, a22, n) arrays of the medium on the grid, from its region indices."""
+    table = media.coefficient_table(config)
+    return np.moveaxis(table[media.sample_grid(config, xs, ys)], -1, 0)
+
+
+def _grid_coefficients_at(config, p):
+    """The one-point grid at p, as (a11, a12, a22, n) scalars."""
+    return tuple(v[0, 0] for v in _coefficients(config, [p[0]], [p[1]]))
+
+
+def _two_defect_config():
+    # a void and a lossy anisotropic defect, so every region has its own row
+    lossy = media.SymTensor2(0.3, 0.05, 0.4, -0.01, 0.0, -0.02)
+    return _random_config(A=media.SymTensor2(0.6, 0.1, 0.7), defects=[
+        media.Defect(media.Circle((0, 0), 1.0), VOID, 1.0),
+        media.Defect(media.Ellipse((1.2, -1.0), 0.4, 0.3), lossy, 2.0 + 0.1j),
+    ])
 
 
 def test_sample_coefficients_piecewise():
     cfg = _random_config(defects=[media.Defect(media.Circle((0, 0), 1.0), VOID, 1.0)])
     # outside D, in the host, in the defect
+    assert [int(media.sample_grid(cfg, [x], [x])[0, 0]) for x in (10.0, 1.5, 0.0)] == [0, 1, 2]
     assert _grid_coefficients_at(cfg, (10.0, 10.0)) == (1.0, 0.0, 1.0, 1.0)
     assert _grid_coefficients_at(cfg, (1.5, 1.5)) == (0.5, 0.0, 0.5, 3.0)
     assert _grid_coefficients_at(cfg, (0.0, 0.0)) == (1.0, 0.0, 1.0, 1.0)
-    # background sampling ignores the defect
-    assert _grid_coefficients_at(cfg, (0.0, 0.0), background=True) == (0.5, 0.0, 0.5, 3.0)
+    # the background has no defect
+    assert cfg.background().defects == () and cfg.background().host == cfg.host
+    assert _grid_coefficients_at(cfg.background(), (0.0, 0.0)) == (0.5, 0.0, 0.5, 3.0)
 
 
 def test_sample_grid_matches_pointwise(rng):
     cfg = _random_config(defects=[media.Defect(media.Circle((0, 0), 1.0), VOID, 1.0)])
     xs = np.linspace(-3, 3, 13)
     ys = np.linspace(-3, 3, 11)
-    for background in (False, True):
-        a11, a12, a22, n = media.sample_grid(cfg, xs, ys, background=background)
+    for medium in (cfg, cfg.background()):
+        a11, a12, a22, n = _coefficients(medium, xs, ys)
         for _ in range(30):
             ix, iy = rng.integers(13), rng.integers(11)
-            t, nn = _pointwise_coefficients(cfg, (xs[ix], ys[iy]), background=background)
+            t, nn = _pointwise_coefficients(medium, (xs[ix], ys[iy]))
             c = t.cmat()
             assert (a11[iy, ix], a12[iy, ix], a22[iy, ix]) == (c[0, 0], c[0, 1], c[1, 1])
             assert n[iy, ix] == nn
 
 
+def test_coefficient_table_of_regions_matches_pointwise(rng):
+    # every point of one grid, and of each grid of a batched call
+    cfg = _two_defect_config()
+
+    def reference(xs, ys):
+        out = np.empty((4, len(ys), len(xs)), dtype=complex)
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                t, n = _pointwise_coefficients(cfg, (x, y))
+                c = t.cmat()
+                out[:, iy, ix] = c[0, 0], c[0, 1], c[1, 1], n
+        return out
+
+    xs, ys = np.linspace(-2.5, 2.5, 41), np.linspace(-2.5, 2.5, 37)
+    assert np.array_equal(_coefficients(cfg, xs, ys), reference(xs, ys))
+    bxs, bys = rng.uniform(-2.5, 2.5, (3, 19)), rng.uniform(-2.5, 2.5, (3, 17))
+    batched = _coefficients(cfg, bxs, bys)
+    for b in range(3):
+        assert np.array_equal(batched[:, b], reference(bxs[b], bys[b]))
+
+
 def test_sample_grid_batches_match_single_grids(rng):
-    cfg = _random_config(defects=[media.Defect(media.Circle((0, 0), 1.0), VOID, 1.0)])
+    cfg = _two_defect_config()
     xs = rng.uniform(-3, 3, (4, 7))
     ys = rng.uniform(-3, 3, (4, 5))
     batched = media.sample_grid(cfg, xs, ys)
-    assert all(v.shape == (4, 5, 7) for v in batched)
+    assert batched.shape == (4, 5, 7)
     for b in range(4):
-        for got, want in zip(batched, media.sample_grid(cfg, xs[b], ys[b])):
-            assert np.array_equal(got[b], want)
+        assert np.array_equal(batched[b], media.sample_grid(cfg, xs[b], ys[b]))
+
+
+def test_sample_grid_labels_past_any_small_integer_type():
+    # 130 disjoint discs in rows of 13: labels 2..131, past int8's 127
+    cx, cy = -1.8 + 0.3 * np.arange(13), -1.35 + 0.3 * np.arange(10)
+    cfg = _random_config(defects=[
+        media.Defect(media.Circle((x, y), 0.05), VOID, 1.0) for y in cy for x in cx
+    ])
+    region = media.sample_grid(cfg, cx, cy)
+    assert region[-1, -1] == 131
+    assert np.array_equal(region, 2 + np.arange(130).reshape(10, 13))
+    assert len(media.coefficient_table(cfg)) == 132
 
 
 def test_background_agrees_outside_defects():
     cfg = _random_config(defects=[media.Defect(media.Circle((0, 0), 1.0), VOID, 1.0)])
     xs = np.linspace(-3, 3, 25)
-    tot = media.sample_grid(cfg, xs, xs)
-    bg = media.sample_grid(cfg, xs, xs, background=True)
+    tot = _coefficients(cfg, xs, xs)
+    bg = _coefficients(cfg.background(), xs, xs)
     xx, yy = np.meshgrid(xs, xs)
     outside = ~cfg.defects[0].shape.contains(np.stack((xx, yy), axis=-1))
     for t, b in zip(tot, bg):
         assert np.array_equal(t[outside], b[outside])
+    # the background's regions are the scene's with every defect back in the host
+    assert np.array_equal(
+        media.sample_grid(cfg.background(), xs, xs), np.minimum(media.sample_grid(cfg, xs, xs), 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +332,7 @@ def test_assumption_margins_match_the_pointwise_loop():
         cfg = _random_config(A=A, defects=[d])
         fwd, bwd = np.inf, np.inf
         for p in media.interior_points(d.shape, 200):
-            a = _pointwise_coefficients(cfg, p, background=True)[0].real()
+            a = _pointwise_coefficients(cfg.background(), p)[0].real()
             m1, m2 = d.A0.real() - a, a - d.A0.real()
             fwd = min(fwd, media.sym_eigvals(m1[0, 0], m1[0, 1], m1[1, 1])[0])
             bwd = min(bwd, media.sym_eigvals(m2[0, 0], m2[0, 1], m2[1, 1])[0])

@@ -79,7 +79,7 @@ def test_homogeneous_stencil_is_five_point():
     host = media.HostRegion(media.Circle((0, 0), 1.0), media.SymTensor2.identity(), 1.0)
     cfg = media.MediaConfig(host, (), K)
     spec = solver.GridSpec(2.0, 0.25, 8)
-    system = solver.assemble_system(spec, cfg, "background")
+    system = solver.assemble_system(spec, cfg)
     nine = _center_row(system, spec)
     inv_h2 = 1.0 / spec.h**2
     # grid center sits in free space (outside the unit host circle? no - inside).
@@ -98,7 +98,7 @@ def test_scaled_isotropic_stencil():
     cfg = media.MediaConfig(host, (), K)
     spec = solver.GridSpec(2.5, 0.25, 8)
     # the host outgrows the grid (off-contract), so the system skips validation
-    system = solver.FactorizedSystem(spec, cfg, "background")
+    system = solver.FactorizedSystem(spec, cfg)
     nine = _center_row(system, spec)
     inv_h2 = 1.0 / spec.h**2
     assert nine[(0, 0)] == pytest.approx(0.5 * (-4 * inv_h2) + 3 * K * K, abs=1e-12)
@@ -107,7 +107,7 @@ def test_scaled_isotropic_stencil():
 
 
 def test_interior_stencil_symmetric(tiny_cfg, tiny_grid):
-    system = solver.assemble_system(tiny_grid, tiny_cfg, "defective")
+    system = solver.assemble_system(tiny_grid, tiny_cfg)
     ni = system.n_interior
     # restrict to rows/cols of nodes strictly inside the physical box where
     # the PML stretch is 1; there the operator must be exactly symmetric
@@ -131,8 +131,8 @@ def test_whole_operator_is_complex_symmetric():
     )
     spec = solver.GridSpec(4.5, 0.125, 8)
     for cfg in (scene, dataclasses.replace(scene, defects=(lossy,))):
-        for which in ("defective", "background"):
-            op = solver.assemble_system(spec, cfg, which).op
+        for medium in (cfg, cfg.background()):
+            op = solver.assemble_system(spec, medium).op
             assert abs(op.imag).max() > 0  # complex: the collar stretches it
             assert abs(op - op.T).max() == 0.0
 
@@ -140,7 +140,7 @@ def test_whole_operator_is_complex_symmetric():
 def test_symmetric_mode_fill_and_solution(tiny_cfg, tiny_grid, rng):
     # minimum degree on A + A^T stores less of L + U than scipy's default
     # COLAMD ordering (64,704 against 95,866 entries here) and solves the same
-    system = solver.assemble_system(tiny_grid, tiny_cfg, "defective")
+    system = solver.assemble_system(tiny_grid, tiny_cfg)
     assert system.fill < splu(system.op).nnz
     ni = system.n_interior
     b = rng.standard_normal((ni, ni)) + 1j * rng.standard_normal((ni, ni))
@@ -150,7 +150,7 @@ def test_symmetric_mode_fill_and_solution(tiny_cfg, tiny_grid, rng):
 
 
 def test_factorization_probe_residual(tiny_cfg, tiny_grid):
-    system = solver.assemble_system(tiny_grid, tiny_cfg, "background")
+    system = solver.assemble_system(tiny_grid, tiny_cfg.background())
     assert system.probe_residual <= 1e-10
 
 
@@ -173,7 +173,7 @@ def test_badly_scaled_node_raises(ex1_cfg):
     # the first node (a collar corner) and s = 1e-7 the smallest |diag(U)| is
     # above 1e-14 ||A|| and the probe residual is 5e-12; only the condition
     # bound rejects it
-    system = solver.assemble_system(ex1_cfg.grid, ex1_cfg.media, "background")
+    system = solver.assemble_system(ex1_cfg.grid, ex1_cfg.media.background())
     n = system.op.shape[0]
     broken = solver.FactorizedSystem.__new__(solver.FactorizedSystem)
     for node in (0, n // 2):
@@ -189,15 +189,16 @@ def test_badly_scaled_node_raises(ex1_cfg):
 # coefficient sampling
 
 
-def _full_lattice_average(config, xs, ys, h, background, ns=16):
+def _full_lattice_average(config, xs, ys, h, ns=16):
     """Reference: every patch subsampled at ns x ns points, x offsets summed
-    first, then y offsets in sequence."""
+    first, then y offsets in sequence; one array per coefficient_table column."""
     offs = h * ((np.arange(ns) + 0.5) / ns - 0.5)
     xs_e = (xs[:, None] + offs[None, :]).ravel()
+    table = media.coefficient_table(config)
     acc = [0.0] * 4
     for dy in offs:
-        vals = media.sample_grid(config, xs_e, ys + dy, background)
-        acc = [a + v.reshape(len(ys), len(xs), ns).sum(axis=2) for a, v in zip(acc, vals)]
+        region = media.sample_grid(config, xs_e, ys + dy).reshape(len(ys), len(xs), ns)
+        acc = [a + table[region, column].sum(axis=2) for column, a in enumerate(acc)]
     return [a / (ns * ns) for a in acc]
 
 
@@ -220,12 +221,12 @@ def test_narrow_band_matches_full_lattice(name):
     else:
         cfg = cli.load_run_config(name)
         config, spec = cfg.media, cfg.grid
-    for background in (False, True):
+    for medium in (config, config.background()):
         for xs, ys in _families(spec.coords(), spec.h):
-            got = solver._subcell_average(config, xs, ys, spec.h, background)
-            want = _full_lattice_average(config, xs, ys, spec.h, background)
-            for g, w in zip(got, want):
-                assert np.max(np.abs(g - w)) <= 1e-15
+            want = _full_lattice_average(medium, xs, ys, spec.h)
+            for column, w in enumerate(want):
+                got = solver._subcell_average(medium, xs, ys, spec.h, column)
+                assert np.max(np.abs(got - w)) <= 1e-15
 
 
 coords = st.floats(-1.0, 1.0)
@@ -267,14 +268,14 @@ def test_narrow_band_property(host, host_a, defects, h, seed):
         tuple(media.Defect(s, a, complex(n, 0.1)) for s, a, n in defects), K,
     )
     c = np.arange(-1.5, 1.5 + h / 2, h)
-    for background in (False, True):
+    for medium in (config, config.background()):
         for xs, ys in _families(c, h):
-            got = solver._subcell_average(config, xs, ys, h, background)
-            want = _full_lattice_average(config, xs, ys, h, background)
-            for g, w in zip(got, want):
+            want = _full_lattice_average(medium, xs, ys, h)
+            for column, w in enumerate(want):
+                got = solver._subcell_average(medium, xs, ys, h, column)
                 # band patches repeat the reference's arithmetic; a uniform
                 # patch's reference sum of 256 equal terms rounds up to ~8 ulp
-                np.testing.assert_allclose(g, w, rtol=16 * np.finfo(float).eps, atol=0)
+                np.testing.assert_allclose(got, w, rtol=16 * np.finfo(float).eps, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def test_non_unit_direction_rejected(homogeneous_system):
 
 
 def test_pde_residual(tiny_cfg, tiny_grid):
-    system = solver.assemble_system(tiny_grid, tiny_cfg, "defective")
+    system = solver.assemble_system(tiny_grid, tiny_cfg)
     d = (math.cos(0.7), math.sin(0.7))
     f = solver.solve_plane_wave(system, d)
     rhs = solver.plane_wave_rhs(system, d)
@@ -304,7 +305,7 @@ def test_pde_residual(tiny_cfg, tiny_grid):
 def test_mie_parity_at_coarse_grid():
     cfg = _disc_scene()
     spec = _grid_for(cfg, 3.5, 15)
-    system = solver.assemble_system(spec, cfg, "background")
+    system = solver.assemble_system(spec, cfg)
     f = solver.solve_plane_wave(system, (1.0, 0.0))
     ff = solver.far_field(spec, f, K, 2.0, ANGLES64)
     exact = solver.mie_far_field(0.9, 1.1, 1.0, K, 0.0, ANGLES64)
@@ -321,7 +322,7 @@ def test_pml_collar_of_8_cells_matches_16():
     exact = np.column_stack([solver.mie_far_field(0.5, 3.0, 2.0, K, a, angles) for a in angles])
     errs = []
     for cells in (16, 8):
-        system = solver.assemble_system(solver.GridSpec(4.5, 0.15, cells), cfg, "background")
+        system = solver.assemble_system(solver.GridSpec(4.5, 0.15, cells), cfg)
         f, _ = farfield.assemble_far_field_matrix(system, 32)
         errs.append(np.linalg.norm(f.entries - exact) / np.linalg.norm(exact))
     assert abs(errs[1] - errs[0]) <= 1e-2 * errs[0]
@@ -334,7 +335,7 @@ def test_grid_convergence_factor():
     errs = []
     for ppw in (15, 30):
         spec = _grid_for(cfg, 3.5, ppw)
-        system = solver.assemble_system(spec, cfg, "background")
+        system = solver.assemble_system(spec, cfg)
         f = solver.solve_plane_wave(system, (1.0, 0.0))
         ff = solver.far_field(spec, f, K, 2.0, ANGLES64)
         errs.append(np.linalg.norm(ff - exact) / np.linalg.norm(exact))
@@ -346,7 +347,7 @@ def test_plane_wave_rhs_matches_direct_stencil():
     host = media.HostRegion(media.Circle((0, 0), 1.0), media.SymTensor2(0.6, 0.15, 0.5), 2.0)
     defect = media.Defect(media.Circle((0.2, 0), 0.4), media.SymTensor2.identity(), 1.0 + 0.2j)
     cfg = media.MediaConfig(host, (defect,), K)
-    system = solver.assemble_system(solver.GridSpec(2.0, 0.125, 8), cfg, "defective")
+    system = solver.assemble_system(solver.GridSpec(2.0, 0.125, 8), cfg)
     c, h = system.spec.coords(), system.spec.h
     xf = c[:-1] + h / 2
     for th in (0.0, 0.7, 2.5):
@@ -374,7 +375,7 @@ def test_batched_solve_matches_single_directions(tiny_cfg):
     # a single direction is a batch of one through the same path; more
     # directions than two blocks cross every block edge
     spec = solver.GridSpec(2.0, 0.125, 8)
-    system = solver.assemble_system(spec, tiny_cfg, "defective")
+    system = solver.assemble_system(spec, tiny_cfg)
     m = 2 * solver.BLOCK + 3
     ang = 0.3 + 2 * np.pi * np.arange(m) / m
     dirs = np.column_stack((np.cos(ang), np.sin(ang)))
@@ -548,7 +549,7 @@ def test_point_source_scaled_fundamental_solution():
     cfg = media.MediaConfig(host, (), K)
     spec = solver.GridSpec(2.0, 0.1, 12)
     # the host covers the PML (off-contract), so the system skips validation
-    system = solver.FactorizedSystem(spec, cfg, "background")
+    system = solver.FactorizedSystem(spec, cfg)
     g = solver.solve_point_source(system, (0.0, 0.0))
     c = spec.coords()
     xx, yy = np.meshgrid(c, c)
@@ -589,7 +590,7 @@ def test_point_source_far_field_is_constant(homogeneous_system):
 def test_far_field_quadrature_invariance(monkeypatch):
     cfg = _disc_scene()
     spec = solver.GridSpec(3.5, 0.175, 16)
-    system = solver.assemble_system(spec, cfg, "background")
+    system = solver.assemble_system(spec, cfg)
     f = solver.solve_plane_wave(system, (1.0, 0.0))
     a = solver.far_field(spec, f, K, 2.0, ANGLES64)
     monkeypatch.setattr(solver, "M_QUAD", 512)
@@ -600,7 +601,7 @@ def test_far_field_quadrature_invariance(monkeypatch):
 def test_far_field_radius_invariance():
     cfg = _disc_scene()
     spec = solver.GridSpec(3.5, 0.0875, 16)
-    system = solver.assemble_system(spec, cfg, "background")
+    system = solver.assemble_system(spec, cfg)
     f = solver.solve_plane_wave(system, (1.0, 0.0))
     a = solver.far_field(spec, f, K, 1.5, ANGLES64)
     b = solver.far_field(spec, f, K, 2.5, ANGLES64)
