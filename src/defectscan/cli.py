@@ -272,7 +272,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     g = fm.reversed_incidence_samples(fields, z[None, :])[:, 0]
     gsrc = solver.solve_point_source(system, z)
     r_ff = farfield.extraction_radius(cfg.media, cfg.grid)
-    ginf = solver.far_field(cfg.grid, gsrc, cfg.media.k, r_ff, fb.angles)
+    ginf = solver.far_field(cfg.grid, gsrc, cfg.media.k, r_ff, farfield.direction_angles(fb.n))
     mixed = float(np.linalg.norm(g - ginf) / np.linalg.norm(ginf))
     checks.append({
         "name": "mixed_reciprocity", "value": mixed, "limit": 5e-2,
@@ -282,7 +282,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     if _mie_applicable(cfg.media):
         exact = solver.mie_far_field(
             cfg.media.host.A.a11, cfg.media.host.n, cfg.media.host.shape.radius,
-            cfg.media.k, 0.0, fb.angles,
+            cfg.media.k, 0.0, farfield.direction_angles(fb.n),
         )
         err = float(np.linalg.norm(fb.entries[:, 0] - exact) / np.linalg.norm(exact))
         checks.append({"name": "mie_parity", "value": err, "limit": 1e-2, "passed": err <= 1e-2})

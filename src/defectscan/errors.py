@@ -48,11 +48,6 @@ class PointOutsideD(DefectScanError):
     exit_code = 4
 
 
-class EmptySpectrum(DefectScanError):
-    """All eigenvalues fell below the Picard floor."""
-    exit_code = 4
-
-
 class DimensionMismatch(DefectScanError):
     """Operands disagree in size, wavenumber or direction set."""
     exit_code = 4

@@ -22,14 +22,13 @@ COND_LIMIT = 1e14  # the residual alone passes S = diag(1, ..., 1e-15); this bou
 
 @dataclass
 class FarFieldMatrix:
-    """N x N far-field samples; rows = observation, columns = incidence."""
+    """N x N far-field samples on direction_angles(N); rows = observation, columns = incidence."""
 
     k: float
-    angles: np.ndarray
     entries: np.ndarray
 
     def __post_init__(self):
-        n = len(self.angles)
+        n = len(self.entries)
         if n % 2 or self.entries.shape != (n, n):
             raise ConfigInvalid("far-field matrix must be N x N with N even")
         if not np.all(np.isfinite(self.entries)):
@@ -37,20 +36,28 @@ class FarFieldMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.angles)
+        return len(self.entries)
 
 
 @dataclass
 class FieldSet:
-    """Background total fields on the grid, one per incident direction."""
+    """Background total fields on the grid, one per direction of direction_angles(N)."""
 
     spec: solver.GridSpec
     k: float
-    angles: np.ndarray
     data: np.ndarray  # (N, n_nodes, n_nodes), total fields
+
+    def __post_init__(self):
+        if self.n % 2:
+            raise ConfigInvalid("direction set must be closed under negation (N even)")
+
+    @property
+    def n(self) -> int:
+        return len(self.data)
 
 
 def direction_angles(n: int) -> np.ndarray:
+    """The directions 2 pi j / N, j = 0..N-1, of every far-field matrix and field set."""
     return 2 * np.pi * np.arange(n) / n
 
 
@@ -83,26 +90,24 @@ def assemble_far_field_matrix(system: solver.FactorizedSystem, n_dirs: int):
     scattered = solver.solve_plane_wave(system, dirs)
     # row j of the far fields belongs to incidence j: the matrix is its transpose
     entries = solver.far_field(spec, scattered, k, r_ff, angles).T
-    ffm = FarFieldMatrix(k, angles, entries.copy())
+    ffm = FarFieldMatrix(k, entries.copy())
     for u, d in zip(scattered, dirs):  # one direction at a time: no second (N, n, n) stack
         u += solver.incident_plane_wave(spec, k, d)  # total fields
-    return ffm, FieldSet(spec, k, angles, scattered)
+    return ffm, FieldSet(spec, k, scattered)
 
 
 def check_compatible(a, b):
-    """Far-field data (FarFieldMatrix or FieldSet) must share N, k and directions."""
-    if len(a.angles) != len(b.angles):
-        raise DimensionMismatch(f"direction counts differ: {len(a.angles)} vs {len(b.angles)}")
+    """Far-field data (FarFieldMatrix or FieldSet) must share N, hence directions, and k."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"direction counts differ: {a.n} vs {b.n}")
     if abs(a.k - b.k) > 1e-12 * max(a.k, b.k):
         raise DimensionMismatch(f"wavenumbers differ: {a.k} vs {b.k}")
-    if not np.allclose(a.angles, b.angles, rtol=0, atol=1e-12):
-        raise DimensionMismatch("direction sets differ")
 
 
 def relative_operator(f0: FarFieldMatrix, fb: FarFieldMatrix) -> FarFieldMatrix:
     """F = F0 - Fb: far-field operator of the defect relative to the background."""
     check_compatible(f0, fb)
-    return FarFieldMatrix(f0.k, f0.angles.copy(), f0.entries - fb.entries)
+    return FarFieldMatrix(f0.k, f0.entries - fb.entries)
 
 
 def scattering_operator(fb: FarFieldMatrix) -> tuple[np.ndarray, float]:
@@ -140,7 +145,7 @@ def add_noise(f: FarFieldMatrix, level: float, seed: int) -> FarFieldMatrix:
     radius = np.sqrt(rng.uniform(size=(n, n)))
     phase = np.exp(2j * np.pi * rng.uniform(size=(n, n)))
     eps = radius * phase
-    return FarFieldMatrix(f.k, f.angles.copy(), f.entries * (1.0 + level * eps))
+    return FarFieldMatrix(f.k, f.entries * (1.0 + level * eps))
 
 
 def reciprocity_defect(f: FarFieldMatrix) -> float:

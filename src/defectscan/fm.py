@@ -17,7 +17,6 @@ from . import media, solver
 from .errors import (
     ConfigInvalid,
     DimensionMismatch,
-    EmptySpectrum,
     NoConvergence,
     NotHermitian,
     PointOutsideD,
@@ -98,7 +97,7 @@ def reversed_incidence_samples(fields: FieldSet, points: np.ndarray) -> np.ndarr
     """g[j, p] = gamma u_b(z_p, -x_hat_j) for points z_p (P, 2): the stored
     field of direction (j + N/2) mod N, all N from one bicubic spline fit."""
     (u,) = solver.sample_fields(fields.spec, fields.data, points[:, 0], points[:, 1])
-    g = np.roll(u, -(len(fields.angles) // 2), axis=0)
+    g = np.roll(u, -(fields.n // 2), axis=0)
     g *= solver.gamma2(fields.k)
     return g
 
@@ -111,12 +110,8 @@ def test_functions(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(config.host.shape.contains(points)):
         raise PointOutsideD("every sampling point must lie inside the host D")
-    n = len(fields.angles)
-    if s_inv.shape != (n, n):
+    if s_inv.shape != (fields.n, fields.n):
         raise DimensionMismatch("field set and S^-1 disagree in N")
-    if n % 2:
-        raise ConfigInvalid("direction set must be closed under negation (N even)")
-
     return (s_inv @ reversed_incidence_samples(fields, points)).T
 
 
@@ -146,9 +141,7 @@ def picard_indicator(
         raise ConfigInvalid("floor_rel must lie in [0, 1e-2]")
     if lam.size == 0 or lam[0] <= 0.0:
         return np.full(phi.shape[0], INDICATOR_CAP), True
-    keep = kept_modes(lam, floor_rel)
-    if not np.any(keep):
-        raise EmptySpectrum("all eigenvalues fell below the Picard floor")
+    keep = kept_modes(lam, floor_rel)  # holds mode 1: lambda_1 > 0 and floor_rel <= 1e-2
     proj = np.abs(phi @ psi[:, keep].conj()) ** 2  # (P, kept); no (P, N) conj copy
     series = proj @ (1.0 / lam[keep])
     values = np.where(series > 0, 1.0 / np.maximum(series, 1.0 / INDICATOR_CAP), INDICATOR_CAP)

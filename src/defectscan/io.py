@@ -15,7 +15,7 @@ import numpy as np
 
 from . import media, solver
 from .errors import ConfigInvalid, SchemaError
-from .farfield import FarFieldMatrix, FieldSet
+from .farfield import FarFieldMatrix, FieldSet, direction_angles
 
 
 def _atomic_write(path: str, payload: bytes):
@@ -43,6 +43,22 @@ def _wavenumber(value, path: str) -> float:
     return k
 
 
+def _json_numbers(value, shape: tuple, key: str) -> np.ndarray:
+    """Nested lists of JSON numbers in the given shape, as floats;
+    np.asarray(value, dtype=float) would also take "0.19", true and null."""
+    arr = np.array(value, dtype=object)
+    if arr.shape != shape or not set(map(type, arr.flat)) <= {int, float}:
+        raise SchemaError(f"{key} must be {' x '.join(map(str, shape))} JSON numbers")
+    return arr.astype(float)
+
+
+def _check_angles(value, n: int, path: str):
+    """The header's angles must be the direction set 2 pi j / N."""
+    angles = _json_numbers(value, (n,), f"{path}: angles")
+    if not np.all(np.abs(angles - direction_angles(n)) <= 1e-12):
+        raise SchemaError(f"{path}: angles must be 2 pi j / N for j = 0..N-1 (N = {n})")
+
+
 # ---------------------------------------------------------------------------
 # far-field matrices (schema ffm/1)
 
@@ -52,7 +68,7 @@ def write_ffm(path: str, f: FarFieldMatrix):
         "schema": "ffm/1",
         "k": f.k,
         "N": f.n,
-        "angles": f.angles.tolist(),
+        "angles": direction_angles(f.n).tolist(),
         "re": f.entries.real.tolist(),
         "im": f.entries.imag.tolist(),
     }
@@ -69,14 +85,13 @@ def read_ffm(path: str) -> FarFieldMatrix:
         raise SchemaError(f"{path}: expected schema ffm/1")
     try:
         n = media.json_int(doc["N"], f"{path}: N")
-        angles = np.asarray(doc["angles"], dtype=float)
-        entries = np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+        _check_angles(doc["angles"], n, path)
+        re, im = (_json_numbers(doc[key], (n, n), f"{path}: {key}") for key in ("re", "im"))
+        entries = re + 1j * im
         k = _wavenumber(doc["k"], path)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed ffm document ({exc})") from exc
-    if angles.shape != (n,) or entries.shape != (n, n):
-        raise SchemaError(f"{path}: array shapes inconsistent with N={n}")
-    return FarFieldMatrix(k, angles, entries)
+    return FarFieldMatrix(k, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +103,8 @@ def write_fields(path: str, fields: FieldSet):
     header = {
         "schema": "fields/1",
         "k": fields.k,
-        "N": len(fields.angles),
-        "angles": fields.angles.tolist(),
+        "N": fields.n,
+        "angles": direction_angles(fields.n).tolist(),
         "grid": {
             "half_extent": spec.half_extent,
             "h": spec.h,
@@ -125,11 +140,11 @@ def read_fields(path: str) -> FieldSet:
         )
         n = media.json_int(header["N"], f"{path}: N")
         nn = media.json_int(header["nodes"], f"{path}: nodes")
-        angles = np.asarray(header["angles"], dtype=float)
+        _check_angles(header["angles"], n, path)
         k = _wavenumber(header["k"], path)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed fields header ({exc})") from exc
-    if nn != spec.n_nodes or angles.shape != (n,):
+    if nn != spec.n_nodes:
         raise SchemaError(f"{path}: header inconsistent")
     expect = n * nn * nn * 16
     if size != expect:
@@ -137,7 +152,7 @@ def read_fields(path: str) -> FieldSet:
     data = np.frombuffer(memoryview(raw).toreadonly(), dtype="<c16").reshape(n, nn, nn)
     if not np.all(np.isfinite(data)):
         raise ConfigInvalid(f"{path}: fields payload has non-finite values")
-    return FieldSet(spec, k, angles, data)
+    return FieldSet(spec, k, data)
 
 
 # ---------------------------------------------------------------------------

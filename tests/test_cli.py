@@ -180,12 +180,12 @@ def test_readme_json_blocks_parse():
 def test_ffm_round_trip_bit_exact(tmp_path, rng):
     n = 8
     entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    f = farfield.FarFieldMatrix(1.0, farfield.direction_angles(n), entries)
+    f = farfield.FarFieldMatrix(1.0, entries)
     path = str(tmp_path / "f.ffm.json")
     io.write_ffm(path, f)
     g = io.read_ffm(path)
     assert g.k == f.k
-    assert np.array_equal(g.angles, f.angles)
+    assert json.load(open(path))["angles"] == farfield.direction_angles(n).tolist()
     assert np.array_equal(g.entries, f.entries)
 
 
@@ -206,7 +206,7 @@ def test_fields_round_trip(tmp_path, rng):
     spec = solver.GridSpec(1.0, 0.25, 8)
     nn = spec.n_nodes
     data = rng.standard_normal((4, nn, nn)) + 1j * rng.standard_normal((4, nn, nn))
-    fs = farfield.FieldSet(spec, 1.0, farfield.direction_angles(4), data)
+    fs = farfield.FieldSet(spec, 1.0, data)
     path = str(tmp_path / "fields.bin")
     io.write_fields(path, fs)
     g = io.read_fields(path)
@@ -234,7 +234,7 @@ def test_read_fields_rejects_non_finite(tmp_path):
     data = np.zeros((4, nn, nn), dtype=complex)
     data[2, 3, 5] = complex(0.0, np.inf)
     path = str(tmp_path / "fields.bin")
-    io.write_fields(path, farfield.FieldSet(spec, 1.0, farfield.direction_angles(4), data))
+    io.write_fields(path, farfield.FieldSet(spec, 1.0, data))
     with pytest.raises(ConfigInvalid):
         io.read_fields(path)
 
@@ -349,8 +349,7 @@ def test_reconstruct_exit_codes(tiny_config_path, tmp_path):
     assert report["no_defect_signal"]
     # mismatched inputs -> exit 4
     other = str(tmp_path / "small.ffm.json")
-    io.write_ffm(other, farfield.FarFieldMatrix(
-        1.0, farfield.direction_angles(4), np.zeros((4, 4), dtype=complex)))
+    io.write_ffm(other, farfield.FarFieldMatrix(1.0, np.zeros((4, 4), dtype=complex)))
     assert cli.main([
         "reconstruct", "--config", tiny_config_path, "--out", out, "--f0", other,
     ]) == 4
@@ -413,12 +412,16 @@ def _reconstruct(paths, out, *flags, **override):
     ])
 
 
-def _altered_fields(paths, tmp_path, **change):
-    fs = io.read_fields(paths["fields"])
-    fs = farfield.FieldSet(fs.spec, change.get("k", fs.k), change.get("angles", fs.angles), fs.data)
-    path = str(tmp_path / "fields.bin")
-    io.write_fields(path, fs)
-    return path
+def _altered_fields(paths, tmp_path, n=None, **change):
+    """A copy of the fields file with header values changed; with n, it holds
+    the first n fields."""
+    line, payload = open(paths["fields"], "rb").read().split(b"\n", 1)
+    header = json.loads(line)
+    if n is not None:
+        payload = payload[: len(payload) // header["N"] * n]
+    path = tmp_path / "fields.bin"
+    path.write_bytes(json.dumps({**header, **change}).encode() + b"\n" + payload)
+    return str(path)
 
 
 def test_reconstruct_rejects_fields_wavenumber_mismatch(tiny_simulation, tmp_path):
@@ -426,10 +429,28 @@ def test_reconstruct_rejects_fields_wavenumber_mismatch(tiny_simulation, tmp_pat
     assert _reconstruct(tiny_simulation, tmp_path / "out", fields=fields) == 4
 
 
-def test_reconstruct_rejects_fields_direction_mismatch(tiny_simulation, tmp_path):
+def test_reconstruct_rejects_fields_direction_mismatch(tiny_simulation, tmp_path, capsys):
+    # the angles are 2 pi j / N, so shifted ones are a malformed header
     angles = farfield.direction_angles(TINY_DOC["directions"]) + 0.05
-    fields = _altered_fields(tiny_simulation, tmp_path, angles=angles)
-    assert _reconstruct(tiny_simulation, tmp_path / "out", fields=fields) == 4
+    fields = _altered_fields(tiny_simulation, tmp_path, angles=angles.tolist())
+    out = tmp_path / "out"
+    assert _reconstruct(tiny_simulation, out, fields=fields) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError" and f"{fields}: angles" in err["message"]
+    assert os.listdir(out) == []
+
+
+def test_reconstruct_rejects_an_odd_direction_count(tiny_simulation, tmp_path, capsys):
+    # 7 directions, their angles and 7 fields: a consistent file, but the
+    # reversed direction j + N/2 needs N even
+    n = TINY_DOC["directions"] - 1
+    fields = _altered_fields(
+        tiny_simulation, tmp_path, n=n, N=n, angles=farfield.direction_angles(n).tolist()
+    )
+    out = tmp_path / "out"
+    assert _reconstruct(tiny_simulation, out, fields=fields) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigInvalid"
+    assert os.listdir(out) == []
 
 
 def test_reconstruct_rejects_config_wavenumber_mismatch(tiny_simulation, tmp_path):
@@ -472,7 +493,7 @@ def test_singular_scattering_operator_exits_3_before_any_output(tiny_simulation,
     fb = io.read_ffm(tiny_simulation["fb"])
     crafted = str(tmp_path / "Fb.ffm.json")
     huge = np.full((fb.n, fb.n), 1e20 + 0j)
-    io.write_ffm(crafted, farfield.FarFieldMatrix(fb.k, fb.angles, huge))
+    io.write_ffm(crafted, farfield.FarFieldMatrix(fb.k, huge))
     out = tmp_path / "out"
     assert _reconstruct(tiny_simulation, out, fb=crafted) == 3
     err = json.loads(capsys.readouterr().err)
@@ -619,17 +640,24 @@ def test_malformed_inputs_exit_2(tiny_simulation, tmp_path, capsys, case):
 
 
 # data-file header values: (reconstruct input, header key, bad values); k
-# must also be positive, and counts must be JSON integers
+# must also be positive, counts must be JSON integers, an angle must be
+# 2 pi j / N, and a non-finite far-field entry is ConfigInvalid instead
 NOT_FLOATS = [True, "1.0", None, float("nan"), float("inf")]
+NOT_NUMBERS = [True, "1.0", None]
 NOT_INTS = [8.7, True, "8"]
+FFM_KEYS = {
+    "k": NOT_FLOATS + [-1.0, 0.0], "N": NOT_INTS,
+    "angles.1": NOT_FLOATS, "re.1.2": NOT_NUMBERS, "im.1.2": NOT_NUMBERS,
+}
 BAD_HEADERS = [
     (name, key, value)
     for name, keys in (
-        ("f0", {"k": NOT_FLOATS + [-1.0, 0.0], "N": NOT_INTS}),
-        ("fb", {"k": NOT_FLOATS + [-1.0, 0.0], "N": NOT_INTS}),
+        ("f0", FFM_KEYS),
+        ("fb", FFM_KEYS),
         ("fields", {
             "k": NOT_FLOATS + [-1.0, 0.0], "N": NOT_INTS, "nodes": NOT_INTS,
             "grid.half_extent": NOT_FLOATS, "grid.h": NOT_FLOATS, "grid.pml_cells": NOT_INTS,
+            "angles.1": NOT_FLOATS,
         }),
     )
     for key, values in keys.items()
@@ -640,21 +668,23 @@ BAD_HEADERS = [
 @pytest.mark.parametrize("name, key, value", BAD_HEADERS)
 def test_non_numeric_data_headers_exit_2(tiny_simulation, tmp_path, capsys, name, key, value):
     # float() and int() would take "1.0", true and 8.7, and a NaN k ran on to
-    # exit 0 with a flat map; every data file follows the run file's rules
+    # exit 0 with a flat map; every data file follows the run file's rules.
+    # np.asarray(..., float) took "1.0" in an array, and a NaN angle exited 4
     with open(tiny_simulation[name], "rb") as fh:
         head, payload = fh.readline(), fh.read()  # the ffm documents are one line
     doc = json.loads(head)
     *parents, leaf = key.split(".")
     node = doc
     for part in parents:
-        node = node[part]
-    node[leaf] = value
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[int(leaf) if isinstance(node, list) else leaf] = value
     path = tmp_path / "input"
     path.write_bytes(json.dumps(doc).encode() + (b"\n" + payload if payload else b""))
     out = tmp_path / "out"
     assert _reconstruct(tiny_simulation, out, **{name: str(path)}) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "SchemaError" and f"{path}: {key}" in err["message"]
+    array = re.sub(r"\.\d+", "", key)  # "re.1.2" -> "re"
+    assert err["error"] == "SchemaError" and f"{path}: {array}" in err["message"]
     assert not out.exists() or os.listdir(out) == []  # nothing written
 
 
@@ -719,7 +749,7 @@ EXIT_CODES = {
     "ConfigInvalid": 2, "SchemaError": 2, "UsageError": 2,
     "SingularSystem": 3, "ModeSystemSingular": 3,
     "SingularScattering": 3, "NotHermitian": 3, "NoConvergence": 3,
-    "DimensionMismatch": 4, "PointOutsideD": 4, "EmptySpectrum": 4,
+    "DimensionMismatch": 4, "PointOutsideD": 4,
     "NoDefectSignal": 5,
 }
 

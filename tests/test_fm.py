@@ -22,8 +22,7 @@ def _random_hermitian(rng, n):
 
 def _identity_operator(n=16):
     """S^-1 of a background that scatters nothing: the identity."""
-    ang = farfield.direction_angles(n)
-    zero = farfield.FarFieldMatrix(K, ang, np.zeros((n, n), dtype=complex))
+    zero = farfield.FarFieldMatrix(K, np.zeros((n, n), dtype=complex))
     return farfield.scattering_operator(zero)[0]
 
 
@@ -117,8 +116,7 @@ def test_operator_abs_spectrum(rng):
 
 def test_f_sharp_zero():
     s_inv = _identity_operator()
-    f = farfield.FarFieldMatrix(K, farfield.direction_angles(16),
-                                np.zeros((16, 16), dtype=complex))
+    f = farfield.FarFieldMatrix(K, np.zeros((16, 16), dtype=complex))
     mat, lam, _ = fm.f_sharp(f, s_inv)
     assert np.all(mat == 0.0)
     assert np.all(lam == 0.0)
@@ -131,7 +129,7 @@ def test_f_sharp_hermitian_psd_input(rng):
     m = _random_hermitian(rng, n)
     h = m @ m.conj().T
     entries = solver.gamma2(K) * (n / (2 * np.pi)) * h
-    f = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
+    f = farfield.FarFieldMatrix(K, entries)
     mat, _, _ = fm.f_sharp(f, s_inv)
     assert np.linalg.norm(mat - h) <= 1e-9 * np.linalg.norm(h)
 
@@ -156,8 +154,8 @@ def test_f_sharp_scaling_covariance(rng):
     n = 16
     s_inv = _identity_operator(n)
     entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    f1 = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
-    f2 = farfield.FarFieldMatrix(K, farfield.direction_angles(n), 2.5 * entries)
+    f1 = farfield.FarFieldMatrix(K, entries)
+    f2 = farfield.FarFieldMatrix(K, 2.5 * entries)
     _, lam1, psi1 = fm.f_sharp(f1, s_inv)
     _, lam2, psi2 = fm.f_sharp(f2, s_inv)
     assert np.allclose(lam2, 2.5 * lam1, atol=1e-10 * lam1[0])
@@ -178,7 +176,7 @@ def test_f_sharp_hermitian_psd_property(n, seed):
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    f = farfield.FarFieldMatrix(K, farfield.direction_angles(n), entries)
+    f = farfield.FarFieldMatrix(K, entries)
     sharps = []
     for s_inv in (np.linalg.inv(q), q.conj().T):
         m, lam, _ = fm.f_sharp(f, s_inv)
