@@ -45,11 +45,15 @@ def _wavenumber(value, path: str) -> float:
 
 def _json_numbers(value, shape: tuple, key: str) -> np.ndarray:
     """Nested lists of JSON numbers in the given shape, as floats;
-    np.asarray(value, dtype=float) would also take "0.19", true and null."""
+    np.asarray(value, dtype=float) would also take "0.19", true and null, and
+    overflow on an integer beyond the float range."""
     arr = np.array(value, dtype=object)
-    if arr.shape != shape or not set(map(type, arr.flat)) <= {int, float}:
-        raise SchemaError(f"{key} must be {' x '.join(map(str, shape))} JSON numbers")
-    return arr.astype(float)
+    if arr.shape == shape and set(map(type, arr.flat)) <= {int, float}:
+        try:
+            return arr.astype(float)
+        except OverflowError:
+            pass
+    raise SchemaError(f"{key} must be {' x '.join(map(str, shape))} JSON numbers")
 
 
 def _check_angles(value, n: int, path: str):

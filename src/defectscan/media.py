@@ -9,6 +9,7 @@ complex.  Coefficients are piecewise constant per region.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -241,9 +242,11 @@ def bounding_radius(shape) -> float:
 
 
 def json_float(value, key: str) -> float:
-    """A JSON number as a float; float() would also take true and "1.0", and
-    Python's json module reads NaN and Infinity, which JSON does not have."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """A JSON number as a float; float() would also take true and "1.0",
+    Python's json module reads NaN and Infinity, which JSON does not have,
+    and an integer beyond the float range makes float() overflow."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):  # False for NaN and inf too
         raise SchemaError(f"{key} must be a finite JSON number, got {value!r}")
     return float(value)
 

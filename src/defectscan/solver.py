@@ -6,8 +6,10 @@ by rotated differences over cell-centered a12) and a quadratic complex-stretch
 PML collar.  The operator is complex symmetric (A = A^T, collar included), so
 each medium is factorized once by SuperLU in symmetric mode: a minimum-degree
 ordering of A + A^T and threshold pivoting at 0.1 that prefers the diagonal.
-That factorization solves the incident directions in blocks of BLOCK.  Far
-fields are extracted with the boundary-integral representation over a circle,
+That factorization solves the incident directions in blocks of BLOCK; a
+medium that a quarter or half turn about the origin leaves unchanged
+(`turn_order`) needs only N / 4 or N / 2 of them.  Far fields are
+extracted with the boundary-integral representation over a circle,
 sampling the grid fields with a tensor-product not-a-knot cubic spline built
 in numpy (uniform B-splines, so the CLI need not import scipy.interpolate);
 an angular-mode series for the isotropic penetrable disc serves as the
@@ -30,6 +32,7 @@ FACTOR_PROBE_TOL = 1e-10
 PIVOT_TOL = 1e-14  # 1 / the largest condition number a factorization may show
 BLOCK = 8  # directions per solve call and fields per spline fit: small transients
 SUBCELLS = 16  # subsamples per patch side in `_subcell_average`
+TURN_TOL = 1e-12  # relative tolerance of `turn_order`'s plane comparisons
 M_QUAD = 256  # trapezoidal nodes on the far-field circle
 
 
@@ -329,6 +332,28 @@ def assemble_system(spec: GridSpec, config: media.MediaConfig) -> FactorizedSyst
     config.validate(spec.h)
     spec.validate_for(config)
     return FactorizedSystem(spec, config)
+
+
+def turn_order(system: FactorizedSystem) -> int:
+    """4 if the sampled medium is invariant under a quarter turn about the
+    origin, 2 if under a half turn only, else 1.
+
+    Reads the coefficient planes the operator is built from; the node grid
+    and the PML collar are symmetric under both turns.  A quarter turn takes
+    x-faces to y-faces and a12 to -a12.  Planes count as equal within
+    TURN_TOL * max(|a|, 1): differently ordered band-patch sums differ by a
+    few ulps, while one misplaced subsample moves an average by at least
+    1 / SUBCELLS^2 of a coefficient jump.
+    """
+    fx, fy, cc, n = system._face_x, system._face_y, system._cc, system._n
+
+    def same(a, b):
+        return bool(np.all(np.abs(a - b) <= TURN_TOL * np.maximum(np.abs(a), 1.0)))
+
+    if not all(same(a, a[::-1, ::-1]) for a in (fx, fy, cc, n)):
+        return 1
+    quarter = same(np.rot90(fx), fy) and same(np.rot90(cc), -cc) and same(np.rot90(n), n)
+    return 4 if quarter else 2
 
 
 # ---------------------------------------------------------------------------

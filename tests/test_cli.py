@@ -576,11 +576,23 @@ FLOAT_KEYS = {
 }
 
 
-@pytest.mark.parametrize("value", [True, "1.0", None, float("nan"), float("inf")])
+# a JSON integer beyond the float range, on which float() overflows
+BEYOND_FLOAT = 10**400
+NOT_FLOATS = [True, "1.0", None, float("nan"), float("inf"), BEYOND_FLOAT]
+NOT_NUMBERS = [True, "1.0", None, BEYOND_FLOAT]
+
+
+def _short_id(value):
+    """A short test id for BEYOND_FLOAT; pytest's own for every other value."""
+    return "int_1e400" if value is BEYOND_FLOAT else None
+
+
+@pytest.mark.parametrize("value", NOT_FLOATS, ids=_short_id)
 @pytest.mark.parametrize("path", sorted(FLOAT_KEYS))
 def test_non_numeric_floats_exit_2(tmp_path, capsys, path, value):
     # float() would take true as 1.0 and "1.0" as a number; json.dumps writes
-    # nan and inf as NaN and Infinity, which json.load reads back
+    # nan and inf as NaN and Infinity, which json.load reads back; a 401-digit
+    # integer made float() raise OverflowError, which exited 1
     doc = json.loads(json.dumps({**TINY_DOC, "noise": {"level": 0.0, "seed": 3}}))
     *parents, leaf = path.split(".")
     node = doc
@@ -642,8 +654,6 @@ def test_malformed_inputs_exit_2(tiny_simulation, tmp_path, capsys, case):
 # data-file header values: (reconstruct input, header key, bad values); k
 # must also be positive, counts must be JSON integers, an angle must be
 # 2 pi j / N, and a non-finite far-field entry is ConfigInvalid instead
-NOT_FLOATS = [True, "1.0", None, float("nan"), float("inf")]
-NOT_NUMBERS = [True, "1.0", None]
 NOT_INTS = [8.7, True, "8"]
 FFM_KEYS = {
     "k": NOT_FLOATS + [-1.0, 0.0], "N": NOT_INTS,
@@ -665,11 +675,12 @@ BAD_HEADERS = [
 ]
 
 
-@pytest.mark.parametrize("name, key, value", BAD_HEADERS)
+@pytest.mark.parametrize("name, key, value", BAD_HEADERS, ids=_short_id)
 def test_non_numeric_data_headers_exit_2(tiny_simulation, tmp_path, capsys, name, key, value):
     # float() and int() would take "1.0", true and 8.7, and a NaN k ran on to
     # exit 0 with a flat map; every data file follows the run file's rules.
-    # np.asarray(..., float) took "1.0" in an array, and a NaN angle exited 4
+    # np.asarray(..., float) took "1.0" in an array, and a NaN angle exited 4;
+    # a 401-digit integer overflowed float() and exited 1
     with open(tiny_simulation[name], "rb") as fh:
         head, payload = fh.readline(), fh.read()  # the ffm documents are one line
     doc = json.loads(head)

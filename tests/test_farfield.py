@@ -84,6 +84,47 @@ def test_far_field_matrix_matches_per_column_reference(tiny_cfg):
     assert np.abs(f.entries - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _tiny_scene(host_a, centers, defect_a=media.SymTensor2.identity()):
+    host = media.HostRegion(media.Circle((0.0, 0.0), 1.0), host_a, 2.0)
+    defects = tuple(media.Defect(media.Circle(c, 0.25), defect_a, 1.0 + 0.1j) for c in centers)
+    return media.MediaConfig(host, defects, K)
+
+
+# a quarter turn swaps a11 and a22 and flips the sign of a12
+ISOTROPIC, STRETCHED = media.SymTensor2(0.5, 0.0, 0.5), media.SymTensor2(0.6, 0.0, 0.75)
+SHEARED = media.SymTensor2(0.6, 0.15, 0.6)
+# scene, direction count, turn order, directions solved
+TURNED_CASES = {
+    "quarter turn": (_tiny_scene(ISOTROPIC, [(0.0, 0.0)]), 8, 4, 2),
+    "half turn, a11 != a22": (_tiny_scene(STRETCHED, [(0.0, 0.0)]), 8, 2, 4),
+    "half turn, a12 != 0": (_tiny_scene(SHEARED, [(0.0, 0.0)]), 8, 2, 4),
+    "half turn, swapped defects": (_tiny_scene(ISOTROPIC, [(-0.4, 0.3), (0.4, -0.3)]), 8, 2, 4),
+    "half turn, swapped defects in n only": (
+        _tiny_scene(ISOTROPIC, [(-0.4, 0.3), (0.4, -0.3)], ISOTROPIC), 8, 2, 4),
+    "quarter turn, N % 4 = 2": (_tiny_scene(ISOTROPIC, [(0.0, 0.0)]), 10, 4, 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TURNED_CASES))
+def test_turned_blocks_match_n_solves(monkeypatch, case):
+    config, n, order, solved = TURNED_CASES[case]
+    system = solver.assemble_system(solver.GridSpec(2.0, 0.125, 8), config)
+    assert solver.turn_order(system) == order
+    counts, solve = [], solver.solve_plane_wave
+
+    def counted(system, d):
+        counts.append(len(d))
+        return solve(system, d)
+
+    monkeypatch.setattr(solver, "solve_plane_wave", counted)
+    f, fields = farfield.assemble_far_field_matrix(system, n)
+    monkeypatch.setattr(solver, "turn_order", lambda system: 1)
+    want_f, want_fields = farfield.assemble_far_field_matrix(system, n)
+    assert counts == [solved, n]
+    assert np.abs(f.entries - want_f.entries).max() <= 1e-12 * np.abs(want_f.entries).max()
+    assert np.abs(fields.data - want_fields.data).max() <= 1e-12 * np.abs(want_fields.data).max()
+
+
 def test_direction_count_validation(homogeneous_system):
     system, _ = homogeneous_system
     with pytest.raises(ConfigInvalid):

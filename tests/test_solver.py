@@ -278,6 +278,37 @@ def test_narrow_band_property(host, host_a, defects, h, seed):
                 np.testing.assert_allclose(got, w, rtol=16 * np.finfo(float).eps, atol=0)
 
 
+# the turn order of each preset's scene and background: the example1 hosts
+# are isotropic, the example2/3 hosts anisotropic (a12 != 0, a11 != a22)
+TURN_ORDERS = {
+    ("example1_circle", "scene"): 4,
+    ("example1_ellipse", "scene"): 1,
+    ("example1_twodiscs", "scene"): 2,  # a half turn swaps the discs
+    ("example3_aniso_defects", "scene"): 1,
+    **{(name, "background"): 4 for name in (
+        "example1_circle", "example1_ellipse", "example1_square", "example1_twodiscs")},
+    ("example2_aniso_host", "background"): 2,
+    ("example3_aniso_defects", "background"): 2,
+}
+
+
+@pytest.mark.parametrize("name, medium", sorted(TURN_ORDERS))
+def test_turn_order_of_presets(name, medium):
+    cfg = cli.load_run_config(name)
+    config = cfg.media.background() if medium == "background" else cfg.media
+    system = solver.assemble_system(cfg.grid, config)
+    assert solver.turn_order(system) == TURN_ORDERS[name, medium]
+
+
+def test_turn_order_of_a_host_off_the_origin():
+    # an h / 3 shift moves a host edge off the node lattice's mirror image
+    cfg = cli.load_run_config("example1_circle")
+    h = cfg.grid.h
+    host = dataclasses.replace(cfg.media.host, shape=media.Rectangle(-2 + h / 3, 2 + h / 3, -2, 2))
+    system = solver.assemble_system(cfg.grid, dataclasses.replace(cfg.media, host=host, defects=()))
+    assert solver.turn_order(system) == 1
+
+
 # ---------------------------------------------------------------------------
 # plane-wave solves
 
