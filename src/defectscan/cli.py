@@ -104,11 +104,13 @@ def parse_run_config(doc: dict) -> RunConfig:
         return RunConfig(
             media=scene,
             grid=grid,
-            n_dirs=media.json_int(doc.get("directions", 32), "directions"),
+            n_dirs=media.json_count(
+                doc.get("directions", 32), "directions", farfield.MAX_DIRECTIONS
+            ),
             noise_level=media.json_float(noise.get("level", 0.0), "noise.level"),
             noise_seed=media.json_int(noise.get("seed", 0), "noise.seed"),
-            lattice_nx=media.json_int(lat.get("nx", 81), "lattice.nx"),
-            lattice_ny=media.json_int(lat.get("ny", 81), "lattice.ny"),
+            lattice_nx=media.json_count(lat.get("nx", 81), "lattice.nx", fm.MAX_LATTICE),
+            lattice_ny=media.json_count(lat.get("ny", 81), "lattice.ny", fm.MAX_LATTICE),
             lattice_bounds=bounds,
             floor_rel=media.json_float(doc.get("floor_rel", fm.DEFAULT_FLOOR_REL), "floor_rel"),
         )
@@ -143,10 +145,24 @@ def bundled_config_names() -> list:
 CONTRAST_CLEARANCE = 0.2  # "away from a defect": farther than this from its boundary
 
 
-def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig):
-    """Per-defect and overall mean indicator contrast inside vs. away from defects."""
+def _near(shape, pts: np.ndarray, contains: np.ndarray) -> np.ndarray:
+    """Points inside the shape (`contains`) or closer than CONTRAST_CLEARANCE
+    to one of its 512 boundary points.  A point outside those points' bounding
+    box grown by the clearance is farther from all of them, so only the points
+    outside the shape and inside that box are queried."""
     from scipy.spatial import cKDTree  # only reconstruct's contrast needs it
 
+    edge = shape.boundary_points(512)
+    lo, hi = edge.min(axis=0) - CONTRAST_CLEARANCE, edge.max(axis=0) + CONTRAST_CLEARANCE
+    query = ~contains & np.all((pts >= lo) & (pts <= hi), axis=1)
+    dist, _ = cKDTree(edge).query(pts[query], distance_upper_bound=CONTRAST_CLEARANCE)
+    near = contains.copy()
+    near[query] = dist < CONTRAST_CLEARANCE
+    return near
+
+
+def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig):
+    """Per-defect and overall mean indicator contrast inside vs. away from defects."""
     xx, yy = np.meshgrid(grid.xs, grid.ys)
     pts = np.column_stack((xx.ravel(), yy.ravel()))
     masked = grid.mask.ravel()
@@ -155,9 +171,7 @@ def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig):
     inside_each = []
     for d in scene.defects:
         contains = d.shape.contains(pts)
-        tree = cKDTree(d.shape.boundary_points(512))
-        dist, _ = tree.query(pts, distance_upper_bound=CONTRAST_CLEARANCE)
-        near_any |= contains | (dist < CONTRAST_CLEARANCE)
+        near_any |= _near(d.shape, pts, contains)
         inside_each.append(masked & contains)
     outside = masked & ~near_any
     out_mean = float(np.mean(vals[outside])) if np.any(outside) else float("nan")
@@ -301,6 +315,14 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
 # argument parsing
 
 
+def _direction_count(text: str) -> int:
+    """--directions has the run file's bound, checked before any work."""
+    n = int(text)
+    if n > farfield.MAX_DIRECTIONS:
+        raise argparse.ArgumentTypeError(f"at most {farfield.MAX_DIRECTIONS}, got {n}")
+    return n
+
+
 # override flags: (the RunConfig field each sets, type, help); each subcommand
 # declares only the ones it reads
 _FLAGS = {
@@ -308,7 +330,8 @@ _FLAGS = {
     "--seed": ("noise_seed", int, "override noise seed"),
     "--floor": ("floor_rel", float, "override relative eigenvalue floor"),
     "--grid-h": ("grid_h", float, "override grid spacing"),
-    "--directions": ("n_dirs", int, "override number of incident/observation directions"),
+    "--directions": ("n_dirs", _direction_count,
+                     "override number of incident/observation directions"),
 }
 
 

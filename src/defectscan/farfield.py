@@ -18,6 +18,9 @@ from .errors import ConfigInvalid, DimensionMismatch, SingularScattering
 
 INVERSE_RESIDUAL_TOL = 1e-10
 COND_LIMIT = 1e14  # the residual alone passes S = diag(1, ..., 1e-15); this bound does not
+# F, S and F# are dense N x N and F# takes three O(N^3) eigensolves; the
+# examples use N = 32-64
+MAX_DIRECTIONS = 1024
 
 
 @dataclass

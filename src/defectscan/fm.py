@@ -1,10 +1,11 @@
 """Factorization-method reconstruction machinery.
 
 Builds F-sharp = |Re(F~)| + |Im(F~)| from the relative far-field matrix with
-F~ = gamma^{-1} S^{-1} W F (W the trapezoidal weight), evaluates the test
-functions phi_z = S^{-1} [gamma u_b(z, -x_hat_j)]_j via mixed reciprocity from
-the stored background total fields, and maps the Picard series into the
-indicator X(z) = [sum |(phi_z, psi_i)|^2 / lambda_i]^{-1}.
+F~ = gamma^{-1} S^{-1} W F (W the trapezoidal weight), evaluates the
+projections (phi_z, psi_i) of the test functions phi_z = S^{-1} [gamma
+u_b(z, -x_hat_j)]_j (mixed reciprocity) from the stored background total
+fields, and maps the Picard series into the indicator
+X(z) = [sum |(phi_z, psi_i)|^2 / lambda_i]^{-1}.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .farfield import FarFieldMatrix, FieldSet
 HERMITIAN_TOL = 1e-10
 DEFAULT_FLOOR_REL = 1e-12
 INDICATOR_CAP = 1e30
+# lattice points per axis: 2048^2 = 4.2M points, whose spline rows alone take ~0.8 GB
+MAX_LATTICE = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +106,26 @@ def reversed_incidence_samples(fields: FieldSet, points: np.ndarray) -> np.ndarr
 
 
 def test_functions(
-    fields: FieldSet, s_inv: np.ndarray, config: media.MediaConfig, points,
+    fields: FieldSet, a: np.ndarray, config: media.MediaConfig, points,
 ) -> np.ndarray:
-    """Rows phi_z = S^{-1} g_z, shape (P, N), with g_z[j] = gamma u_b(z, -x_hat_j)
-    (see `reversed_incidence_samples`)."""
+    """Rows a g_z, shape (P, K), for a (K, N) matrix a, with g_z[j] =
+    gamma u_b(z, -x_hat_j) (see `reversed_incidence_samples`); a = S^{-1}
+    gives the test functions phi_z.
+
+    Sampling is linear, so the K fields sum_j a[i, j] gamma u_b(., -x_hat_j)
+    are combined on the grid first and only they are sampled.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(config.host.shape.contains(points)):
         raise PointOutsideD("every sampling point must lie inside the host D")
-    if s_inv.shape != (fields.n, fields.n):
-        raise DimensionMismatch("field set and S^-1 disagree in N")
-    return (s_inv @ reversed_incidence_samples(fields, points)).T
+    n = fields.n
+    if a.ndim != 2 or a.shape[1] != n:
+        raise DimensionMismatch("field set and the test-function matrix disagree in N")
+    # g_z[j] is the field of direction (j + N/2) mod N: roll a's columns the other way
+    b = solver.gamma2(fields.k) * np.roll(a, n // 2, axis=1)
+    combined = (b @ fields.data.reshape(n, -1)).reshape((len(a),) + fields.data.shape[1:])
+    (u,) = solver.sample_fields(fields.spec, combined, points[:, 0], points[:, 1])
+    return u.T
 
 
 # ---------------------------------------------------------------------------
@@ -122,28 +135,27 @@ def test_functions(
 def kept_modes(lam: np.ndarray, floor_rel: float) -> np.ndarray:
     """Eigenpairs the Picard series sums over: lambda_i >= floor_rel * lambda_1
     and lambda_i > 0 (none when lambda_1 <= 0)."""
+    if not (0.0 <= floor_rel <= 1e-2):
+        raise ConfigInvalid("floor_rel must lie in [0, 1e-2]")
     if lam.size == 0 or lam[0] <= 0.0:
         return np.zeros(lam.shape, dtype=bool)
     return (lam >= floor_rel * lam[0]) & (lam > 0)
 
 
-def picard_indicator(
-    lam: np.ndarray, psi: np.ndarray, phi: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL,
-):
+def picard_indicator(lam: np.ndarray, proj: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL):
     """Indicator values X(z) = [sum_i |(phi_z, psi_i)|^2 / lambda_i]^{-1}
-    over the `kept_modes`, for eigenpairs (lam, psi) of F-sharp and test
-    functions phi (P, N).
+    for the eigenvalues lam of F-sharp and the projections proj (P, K),
+    proj[p, i] = (phi_z_p, psi_i) for the K `kept_modes` in order.
 
-    Returns (values, no_defect_signal); with lambda_1 = 0 every value is the
-    cap and the flag is set.
+    Returns (values, no_defect_signal); with lambda_1 = 0 no mode is kept,
+    every value is the cap and the flag is set.
     """
-    if not (0.0 <= floor_rel <= 1e-2):
-        raise ConfigInvalid("floor_rel must lie in [0, 1e-2]")
-    if lam.size == 0 or lam[0] <= 0.0:
-        return np.full(phi.shape[0], INDICATOR_CAP), True
-    keep = kept_modes(lam, floor_rel)  # holds mode 1: lambda_1 > 0 and floor_rel <= 1e-2
-    proj = np.abs(phi @ psi[:, keep].conj()) ** 2  # (P, kept); no (P, N) conj copy
-    series = proj @ (1.0 / lam[keep])
+    keep = kept_modes(lam, floor_rel)  # holds mode 1 when lambda_1 > 0
+    if proj.shape[1] != np.count_nonzero(keep):
+        raise DimensionMismatch("projections and kept eigenpairs disagree in number")
+    if not np.any(keep):
+        return np.full(proj.shape[0], INDICATOR_CAP), True
+    series = np.abs(proj) ** 2 @ (1.0 / lam[keep])
     values = np.where(series > 0, 1.0 / np.maximum(series, 1.0 / INDICATOR_CAP), INDICATOR_CAP)
     return values, False
 
@@ -187,10 +199,15 @@ def indicator_grid(
     mask_flat = config.host.shape.contains(pts)
     if not np.any(mask_flat):
         raise ConfigInvalid("no sampling lattice point lies inside the host D")
+    if not (s_inv.shape == psi.shape == (fields.n, fields.n)):
+        raise DimensionMismatch("field set, eigenvectors and S^-1 disagree in N")
+    keep = kept_modes(lam, floor_rel)
+    # row i of a is psi_i^H S^{-1}, so a g_z holds the projections (phi_z, psi_i)
+    a = psi[:, keep].conj().T @ s_inv
     values = np.zeros(nx * ny)
-    phi = test_functions(fields, s_inv, config, pts[mask_flat])
-    values[mask_flat], flag = picard_indicator(lam, psi, phi, floor_rel)
-    floored = int(np.sum(~kept_modes(lam, floor_rel)))
+    proj = test_functions(fields, a, config, pts[mask_flat])
+    values[mask_flat], flag = picard_indicator(lam, proj, floor_rel)
+    floored = int(np.sum(~keep))
     return IndicatorGrid(
         xs, ys, values.reshape(ny, nx), mask_flat.reshape(ny, nx), flag, floored
     )

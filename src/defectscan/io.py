@@ -15,7 +15,7 @@ import numpy as np
 
 from . import media, solver
 from .errors import ConfigInvalid, SchemaError
-from .farfield import FarFieldMatrix, FieldSet, direction_angles
+from .farfield import MAX_DIRECTIONS, FarFieldMatrix, FieldSet, direction_angles
 
 
 def _atomic_write(path: str, payload: bytes):
@@ -88,7 +88,7 @@ def read_ffm(path: str) -> FarFieldMatrix:
     if not isinstance(doc, dict) or doc.get("schema") != "ffm/1":
         raise SchemaError(f"{path}: expected schema ffm/1")
     try:
-        n = media.json_int(doc["N"], f"{path}: N")
+        n = media.json_count(doc["N"], f"{path}: N", MAX_DIRECTIONS)
         _check_angles(doc["angles"], n, path)
         re, im = (_json_numbers(doc[key], (n, n), f"{path}: {key}") for key in ("re", "im"))
         entries = re + 1j * im
@@ -142,8 +142,8 @@ def read_fields(path: str) -> FieldSet:
             media.json_float(g["h"], f"{path}: grid.h"),
             media.json_int(g["pml_cells"], f"{path}: grid.pml_cells"),
         )
-        n = media.json_int(header["N"], f"{path}: N")
-        nn = media.json_int(header["nodes"], f"{path}: nodes")
+        n = media.json_count(header["N"], f"{path}: N", MAX_DIRECTIONS)
+        nn = media.json_count(header["nodes"], f"{path}: nodes", solver.MAX_NODES)
         _check_angles(header["angles"], n, path)
         k = _wavenumber(header["k"], path)
     except (KeyError, TypeError, ValueError) as exc:

@@ -258,6 +258,14 @@ def json_int(value, key: str) -> int:
     return value
 
 
+def json_count(value, key: str, limit: int) -> int:
+    """A JSON integer of at most `limit`, checked before anything is sized by it."""
+    value = json_int(value, key)
+    if value > limit:
+        raise SchemaError(f"{key} must be at most {limit}, got {value}")
+    return value
+
+
 def shape_from_dict(d: dict):
     def num(field):
         return json_float(d[field], f"{kind} {field}")

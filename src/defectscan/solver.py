@@ -45,6 +45,10 @@ def gamma2(k: float) -> complex:
 # grid
 
 
+# nodes per axis: 4096^2 unknowns are far beyond a sparse LU on one machine
+MAX_NODES = 4096
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform node grid on [-L, L]^2 plus a PML collar of pml_cells cells
@@ -60,8 +64,12 @@ class GridSpec:
         if self.pml_cells < 8:
             raise ConfigInvalid("need at least 8 PML cells")
         cells = 2 * self.half_extent / self.h
+        if not cells < MAX_NODES:  # round() raises OverflowError on an infinite count
+            raise ConfigInvalid(f"grid needs {cells:g} cells per axis, at most {MAX_NODES} nodes")
         if abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
             raise ConfigInvalid("2 * half_extent / h must be an integer")
+        if self.n_nodes > MAX_NODES:
+            raise ConfigInvalid(f"grid needs {self.n_nodes} nodes per axis, at most {MAX_NODES}")
 
     @property
     def interior_cells(self) -> int:

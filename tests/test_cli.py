@@ -289,6 +289,24 @@ def test_outputs_respect_umask(tmp_path):
         os.umask(old)
 
 
+@pytest.mark.parametrize("n", [81, 161])
+@pytest.mark.parametrize("name", cli.bundled_config_names())
+def test_near_defect_masks_equal_the_unrestricted_query(name, n):
+    # contrast_statistics queries only the points outside a defect and within
+    # the clearance of its boundary points' box; every other point is farther
+    from scipy.spatial import cKDTree
+
+    cfg = cli.load_run_config(name)
+    pts = fm.sampling_lattice(cfg.lattice_bounds, n, n)[2]
+    for d in cfg.media.defects:
+        contains = d.shape.contains(pts)
+        dist, _ = cKDTree(d.shape.boundary_points(512)).query(
+            pts, distance_upper_bound=cli.CONTRAST_CLEARANCE)
+        want = contains | (dist < cli.CONTRAST_CLEARANCE)
+        np.testing.assert_array_equal(cli._near(d.shape, pts, contains), want)
+        assert np.any(want & ~contains)
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -559,6 +577,56 @@ def test_non_integer_counts_exit_2(tmp_path, capsys, key, value):
     assert not os.path.exists(tmp_path / "out" / "F0.ffm.json")
 
 
+# the bound of each count, and two values beyond it: one past the bound, and
+# a 401-digit integer that used to pass parsing and an LU and then exit 1
+COUNT_BOUNDS = {
+    "directions": farfield.MAX_DIRECTIONS,
+    "lattice.nx": fm.MAX_LATTICE,
+    "lattice.ny": fm.MAX_LATTICE,
+}
+
+
+@pytest.mark.parametrize("excess", ["one", "1e400"])
+@pytest.mark.parametrize("key", sorted(COUNT_BOUNDS))
+def test_counts_beyond_their_bound_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, key, excess,
+):
+    def no_work(*args):
+        raise AssertionError("a forward problem was assembled")
+
+    monkeypatch.setattr(solver, "assemble_system", no_work)
+    doc = json.loads(json.dumps(TINY_DOC))
+    parent, leaf = key.split(".") if "." in key else (None, key)
+    node = doc[parent] if parent else doc
+    node[leaf] = COUNT_BOUNDS[key] + 1 if excess == "one" else 10**400
+    p = tmp_path / "counts.json"
+    p.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert f"{key} must be at most {COUNT_BOUNDS[key]}" in err["message"]
+
+
+def test_directions_flag_beyond_its_bound_is_a_usage_error(tiny_config_path, tmp_path, capsys):
+    for value in (farfield.MAX_DIRECTIONS + 1, 10**400):
+        argv = ["simulate", "--config", tiny_config_path, "--out", str(tmp_path / "out"),
+                "--directions", str(value)]
+        assert cli.main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError"
+        assert f"at most {farfield.MAX_DIRECTIONS}" in err["message"]
+    assert not os.path.exists(tmp_path / "out" / "F0.ffm.json")
+
+
+def test_grid_beyond_the_node_bound_is_rejected():
+    # the collar counts; h = 1e-310 makes 2L/h infinite, on which round()
+    # raised OverflowError (exit 1)
+    for h, cells in ((4.0 / (solver.MAX_NODES - 16), 8), (1e-310, 8), (0.5, 10**400)):
+        with pytest.raises(ConfigInvalid, match="at most"):
+            solver.GridSpec(2.0, h, cells)
+    assert solver.GridSpec(2.0, 4.0 / (solver.MAX_NODES - 17), 8).n_nodes == solver.MAX_NODES
+
+
 # run-file numbers: document path -> the key the error message names
 FLOAT_KEYS = {
     "k": "k",
@@ -697,6 +765,33 @@ def test_non_numeric_data_headers_exit_2(tiny_simulation, tmp_path, capsys, name
     array = re.sub(r"\.\d+", "", key)  # "re.1.2" -> "re"
     assert err["error"] == "SchemaError" and f"{path}: {array}" in err["message"]
     assert not out.exists() or os.listdir(out) == []  # nothing written
+
+
+DATA_COUNT_BOUNDS = [
+    ("f0", "N", farfield.MAX_DIRECTIONS),
+    ("fb", "N", farfield.MAX_DIRECTIONS),
+    ("fields", "N", farfield.MAX_DIRECTIONS),
+    ("fields", "nodes", solver.MAX_NODES),
+]
+
+
+@pytest.mark.parametrize("excess", ["one", "1e400"])
+@pytest.mark.parametrize("name, key, bound", DATA_COUNT_BOUNDS)
+def test_data_counts_beyond_their_bound_exit_2(
+    tiny_simulation, tmp_path, capsys, name, key, bound, excess,
+):
+    with open(tiny_simulation[name], "rb") as fh:
+        head, payload = fh.readline(), fh.read()
+    doc = json.loads(head)
+    doc[key] = bound + 1 if excess == "one" else 10**400
+    path = tmp_path / "input"
+    path.write_bytes(json.dumps(doc).encode() + (b"\n" + payload if payload else b""))
+    out = tmp_path / "out"
+    assert _reconstruct(tiny_simulation, out, **{name: str(path)}) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SchemaError"
+    assert f"{path}: {key} must be at most {bound}" in err["message"]
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_pml_strength_zero_still_parses(tmp_path):

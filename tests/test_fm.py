@@ -26,6 +26,11 @@ def _identity_operator(n=16):
     return farfield.scattering_operator(zero)[0]
 
 
+def _projections(lam, psi, phi, floor_rel=fm.DEFAULT_FLOOR_REL):
+    """(phi_z, psi_i) over the kept modes, (P, K), from test functions phi (P, N)."""
+    return phi @ psi[:, fm.kept_modes(lam, floor_rel)].conj()
+
+
 # ---------------------------------------------------------------------------
 # eigensolver
 
@@ -161,8 +166,8 @@ def test_f_sharp_scaling_covariance(rng):
     assert np.allclose(lam2, 2.5 * lam1, atol=1e-10 * lam1[0])
     # indicator values scale, ranking is invariant
     phi = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
-    v1, _ = fm.picard_indicator(lam1, psi1, phi)
-    v2, _ = fm.picard_indicator(lam2, psi2, phi)
+    v1, _ = fm.picard_indicator(lam1, _projections(lam1, psi1, phi))
+    v2, _ = fm.picard_indicator(lam2, _projections(lam2, psi2, phi))
     assert np.allclose(v2, 2.5 * v1, rtol=1e-9)
     assert np.array_equal(np.argsort(v1), np.argsort(v2))
 
@@ -222,6 +227,21 @@ def test_test_functions_validation(ex1_cfg, ex1_data, ex1_operator):
         fm.test_functions(fields, _identity_operator(16), ex1_cfg.media, [[0.0, 0.0]])
 
 
+def test_test_functions_apply_any_matrix_to_the_samples(ex1_cfg, ex1_data, rng):
+    # combining the fields before sampling them equals a g_z for any (K, N) a
+    _, _, fields = ex1_data
+    pts = np.array([[0.3, -0.2], [-1.1, 0.7], [0.0, 0.0]])
+    g = fm.reversed_incidence_samples(fields, pts)
+    for rows in (3, 0):
+        a = rng.standard_normal((rows, fields.n)) + 1j * rng.standard_normal((rows, fields.n))
+        got = fm.test_functions(fields, a, ex1_cfg.media, pts)
+        assert got.shape == (3, rows)
+        assert np.abs(got - (a @ g).T).max(initial=0.0) <= 1e-12 * np.abs(a @ g).max(initial=1.0)
+    for a in (np.ones(fields.n), np.ones((2, fields.n + 2))):  # not (K, N)
+        with pytest.raises(DimensionMismatch):
+            fm.test_functions(fields, a, ex1_cfg.media, pts)
+
+
 def test_test_functions_grid_shift_invariance(tiny_cfg):
     # shifting every node by h/2 changes phi_z only at interpolation level
     h = 0.125
@@ -253,14 +273,14 @@ def _synthetic_eigenpairs(lams):
 def test_picard_single_mode():
     lam, psi = _synthetic_eigenpairs([4.0, 1.0, 0.25, 0.0625])
     phi = psi[:, 0][None, :]  # (phi, psi_1) = 1
-    vals, flag = fm.picard_indicator(lam, psi, phi)
+    vals, flag = fm.picard_indicator(lam, _projections(lam, psi, phi))
     assert not flag
     assert vals[0] == pytest.approx(4.0)
 
 
 def test_picard_orthogonal_point_capped():
     lam, psi = _synthetic_eigenpairs([4.0, 1.0])
-    vals, flag = fm.picard_indicator(lam, psi, np.zeros((1, 2), dtype=complex))
+    vals, flag = fm.picard_indicator(lam, np.zeros((1, 2), dtype=complex))
     assert not flag
     assert vals[0] == fm.INDICATOR_CAP
 
@@ -268,25 +288,37 @@ def test_picard_orthogonal_point_capped():
 def test_picard_phase_invariance(rng):
     lam, psi = _synthetic_eigenpairs([4.0, 1.0, 0.25, 0.0625])
     phi = rng.standard_normal((1, 4)) + 1j * rng.standard_normal((1, 4))
-    v1, _ = fm.picard_indicator(lam, psi, phi)
-    v2, _ = fm.picard_indicator(lam, psi, np.exp(1.3j) * phi)
+    v1, _ = fm.picard_indicator(lam, _projections(lam, psi, phi))
+    v2, _ = fm.picard_indicator(lam, _projections(lam, psi, np.exp(1.3j) * phi))
     assert v1[0] == pytest.approx(v2[0], rel=1e-12)
 
 
 def test_picard_no_signal_flag():
+    # lambda_1 = 0 keeps no mode: two points, no projections
     lam, psi = _synthetic_eigenpairs([0.0, 0.0])
-    vals, flag = fm.picard_indicator(lam, psi, np.ones((2, 2), dtype=complex))
+    proj = _projections(lam, psi, np.ones((2, 2), dtype=complex))
+    assert proj.shape == (2, 0)
+    vals, flag = fm.picard_indicator(lam, proj)
     assert flag
     assert np.all(vals == fm.INDICATOR_CAP)
 
 
 def test_picard_floor_validation():
-    lam, psi = _synthetic_eigenpairs([1.0])
-    phi = np.ones((1, 1), dtype=complex)
+    lam = np.array([1.0])
+    proj = np.ones((1, 1), dtype=complex)
     with pytest.raises(ConfigInvalid):
-        fm.picard_indicator(lam, psi, phi, floor_rel=0.5)
+        fm.picard_indicator(lam, proj, floor_rel=0.5)
     with pytest.raises(ConfigInvalid):
-        fm.picard_indicator(lam, psi, phi, floor_rel=-1e-3)
+        fm.picard_indicator(lam, proj, floor_rel=-1e-3)
+    with pytest.raises(ConfigInvalid):  # kept_modes is the floor's one definition
+        fm.kept_modes(lam, 0.5)
+
+
+def test_picard_rejects_projections_on_other_modes():
+    # floor 1e-2 keeps three of the four modes
+    lam, _ = _synthetic_eigenpairs([4.0, 1.0, 0.25, 0.01])
+    with pytest.raises(DimensionMismatch):
+        fm.picard_indicator(lam, np.ones((2, 4), dtype=complex), floor_rel=1e-2)
 
 
 def test_indicator_grid_masks_outside(ex1_cfg, ex1_data, ex1_operator):
@@ -312,6 +344,63 @@ def test_floored_modes_are_the_modes_the_series_drops(homogeneous_system):
         lam, psi, fields, _identity_operator(16), cfg, (-0.5, 0.5, -0.5, 0.5), 5, 5, floor_rel=0.0
     )
     assert grid.floored_modes == 1
+
+
+def _two_product_indicator(lam, psi, fields, s_inv, pts, floor_rel):
+    """The indicator as S^-1 times all N samples, then the projections."""
+    keep = fm.kept_modes(lam, floor_rel)
+    if not np.any(keep):
+        return np.full(len(pts), fm.INDICATOR_CAP)
+    phi = (s_inv @ fm.reversed_incidence_samples(fields, pts)).T
+    return 1.0 / (np.abs(phi @ psi[:, keep].conj()) ** 2 @ (1.0 / lam[keep]))
+
+
+@pytest.mark.parametrize("case", ["noisy", "floored", "no_signal"])
+def test_indicator_grid_matches_the_two_product_formula(ex1_cfg, ex1_data, ex1_operator, case):
+    # projecting the fields onto the kept modes before sampling them changes
+    # only the order of the sums: on 2% noisy data, with every mode kept,
+    # with the floor at 1e-2 (K < N), and with lambda_1 = 0 (no mode kept)
+    f0, fb, fields = ex1_data
+    s_inv = ex1_operator[0]
+    _, lam, psi = fm.f_sharp(farfield.relative_operator(farfield.add_noise(f0, 0.02, 5), fb), s_inv)
+    floor = 1e-2 if case == "floored" else fm.DEFAULT_FLOOR_REL
+    if case == "no_signal":
+        lam = np.zeros_like(lam)
+    grid = fm.indicator_grid(lam, psi, fields, s_inv, ex1_cfg.media, (-2, 2, -2, 2), 41, 41, floor)
+    pts = fm.sampling_lattice((-2, 2, -2, 2), 41, 41)[2][grid.mask.ravel()]
+    want = _two_product_indicator(lam, psi, fields, s_inv, pts, floor)
+    got = grid.values[grid.mask]
+    assert np.max(np.abs(got - want) / want) <= 1e-10
+    kept = np.count_nonzero(fm.kept_modes(lam, floor))
+    assert grid.floored_modes == fields.n - kept
+    assert {"noisy": kept == fields.n, "floored": 0 < kept < fields.n,
+            "no_signal": kept == 0}[case]
+    assert grid.no_defect_signal == (case == "no_signal")
+    if case == "no_signal":
+        assert np.all(got == fm.INDICATOR_CAP)
+
+
+def test_indicator_grid_is_invariant_within_a_degenerate_pair(ex1_cfg, ex1_data, ex1_operator):
+    # noise-free, the circle scene's F# has eigenvalue pairs equal to rounding;
+    # any orthonormal basis of such a pair's plane is as good as LAPACK's, so
+    # turning it by a 2 x 2 unitary must leave the indicator unchanged
+    f0, fb, fields = ex1_data
+    s_inv = ex1_operator[0]
+    _, lam, psi = fm.f_sharp(farfield.relative_operator(f0, fb), s_inv)
+    keep = fm.kept_modes(lam, fm.DEFAULT_FLOOR_REL)
+    pairs = [i for i in range(len(lam) - 1)
+             if keep[i + 1] and lam[i] - lam[i + 1] <= 1e-12 * lam[i]]
+    assert pairs  # the quarter-turn symmetry makes such pairs
+    args = (fields, s_inv, ex1_cfg.media, (-2, 2, -2, 2), 41, 41)
+    base = fm.indicator_grid(lam, psi, *args)
+    t, phase = 0.7, np.exp(0.4j)
+    u = np.array([[np.cos(t), -np.sin(t) * phase], [np.sin(t) / phase, np.cos(t)]])
+    for i in pairs:
+        turned = psi.copy()
+        turned[:, [i, i + 1]] = psi[:, [i, i + 1]] @ u
+        grid = fm.indicator_grid(lam, turned, *args)
+        m = base.mask
+        assert np.max(np.abs(grid.values[m] - base.values[m]) / base.values[m]) <= 1e-10
 
 
 @pytest.mark.parametrize("bounds, nx", [((1.5, 2.5, -0.5, 0.5), 5), ((-0.5, 0.5, -0.5, 0.5), -1)])
