@@ -196,4 +196,7 @@ def write_spectrum_csv(path: str, eigenvalues: np.ndarray):
 
 
 def write_report(path: str, report: dict):
-    _atomic_write(path, json.dumps(report, indent=2).encode() + b"\n")
+    """Indented strict JSON: a value that is NaN or infinite (an undefined
+    contrast) is written as null; every finite float keeps its repr."""
+    doc = json.loads(json.dumps(report), parse_constant=lambda _: None)
+    _atomic_write(path, json.dumps(doc, indent=2, allow_nan=False).encode() + b"\n")

@@ -3,9 +3,12 @@
 Discretizes the divergence-form operator div(A grad u) + k^2 n u on a uniform
 node grid with a flux-form 9-point stencil (face-averaged tensors, mixed terms
 by rotated differences over cell-centered a12) and a quadratic complex-stretch
-PML collar.  The operator is complex symmetric (A = A^T, collar included), so
-each medium is factorized once by SuperLU in symmetric mode: a minimum-degree
-ordering of A + A^T and threshold pivoting at 0.1 that prefers the diagonal.
+PML collar.  The operator stores only its nonzero entries: 5 per node where
+the four cells around a node have a12 = 0 (every isotropic region and the
+whole collar), up to 9 elsewhere.  It is complex symmetric (A = A^T, collar
+included), so each medium is factorized once by SuperLU in symmetric mode: a
+minimum-degree ordering of A + A^T, which sees only the stored pattern, and
+threshold pivoting at 0.1 that prefers the diagonal.
 That factorization solves the incident directions in blocks of BLOCK; a
 medium that a quarter or half turn about the origin leaves unchanged
 (`turn_order`) needs only N / 4 or N / 2 of them.  Far fields are
@@ -286,6 +289,10 @@ class FactorizedSystem:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(ni * ni, ni * ni),
         ).tocsc()
+        # SuperLU orders and fills every stored entry, zero or not: keep the
+        # mixed-term entries only where a12 != 0.  A zero diagonal would go
+        # too, but the pivoting treats it as it would a stored zero
+        mat.eliminate_zeros()
         self.op = mat
         self.bandwidth = ni + 1  # half-bandwidth in the natural node ordering
 

@@ -490,6 +490,34 @@ def test_report_records_the_data_direction_count(tiny_simulation, tmp_path):
     assert report["N"] == TINY_DOC["directions"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_undefined_contrast_is_null_in_the_report(ex1_data, tmp_path):
+    # every lattice point of [-0.5, 0.5]^2 lies inside example1_circle's unit
+    # defect, so no point lies away from it: the outside mean and the contrasts
+    # are undefined, and the report writes them as null, not as a bare NaN
+    paths = {"f0": tmp_path / "F0.ffm.json", "fb": tmp_path / "Fb.ffm.json",
+             "fields": tmp_path / "fields.bin"}
+    io.write_ffm(str(paths["f0"]), ex1_data[0])
+    io.write_ffm(str(paths["fb"]), ex1_data[1])
+    io.write_fields(str(paths["fields"]), ex1_data[2])
+    with open(os.path.join(os.path.dirname(cli.__file__), "configs", "example1_circle.json")) as fh:
+        doc = json.load(fh)
+    doc["lattice"]["bounds"] = [-0.5, 0.5, -0.5, 0.5]
+    cfg = tmp_path / "inside.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert _reconstruct({k: str(v) for k, v in paths.items()}, out, config=str(cfg)) == 0
+    text = (out / "report.json").read_text()
+    contrast = json.loads(text, parse_constant=_reject_constant)["contrast"]
+    assert contrast["overall"] is None
+    (defect,) = contrast["per_defect"]
+    assert defect["outside_mean"] is None and defect["contrast"] is None
+    assert defect["inside_mean"] > 0
+
+
 def test_reconstruct_checks_assumptions_at_the_data_grid(tiny_simulation, tmp_path):
     # at h = 0.8 the defect (radius 0.4) has no h margin inside the host
     # (radius 1), so the config's grid fails the containment check; the data

@@ -90,6 +90,41 @@ def test_homogeneous_stencil_is_five_point():
         assert nine[off] == pytest.approx(inv_h2, abs=1e-14)
     for off in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
         assert nine[off] == pytest.approx(0.0, abs=1e-16)
+    # the zero corners are not stored, so the LU sees a 5-point pattern
+    ni = system.n_interior
+    assert system.op.getrow(ni // 2 * ni + ni // 2).nnz == 5
+
+
+def test_isotropic_operator_stores_five_entries_per_node():
+    # example1_circle at the benchmark's fine grid (137^2 nodes): a12 = 0
+    # everywhere, so each interior node stores itself and its 4 in-grid
+    # face neighbours, 5 ni^2 - 4 ni entries in all
+    cfg = cli.load_run_config("example1_circle")
+    spec = dataclasses.replace(cfg.grid, h=0.075)
+    for medium in (cfg.media, cfg.media.background()):
+        system = solver.assemble_system(spec, medium)
+        ni = system.n_interior
+        assert ni == 135
+        assert system.op.nnz == 5 * ni * ni - 4 * ni == 90_585
+        assert system.fill <= 800_000  # 1,266,978 with the 9-point pattern stored
+
+
+def test_mixed_terms_stored_only_where_a12_is_nonzero():
+    # example3_aniso_defects: the anisotropic host has a12 != 0, the collar
+    # a12 = 0.  A cross entry couples the two diagonal corners of one cell,
+    # and is stored exactly when that cell's a12 is nonzero
+    cfg = cli.load_run_config("example3_aniso_defects")
+    system = solver.assemble_system(cfg.grid, cfg.media)
+    ni = system.n_interior
+    op = system.op.tocoo()
+    (jr, ir), (jc, ic) = divmod(op.row, ni), divmod(op.col, ni)
+    cross = (jr != jc) & (ir != ic)
+    stored = np.zeros((ni - 1, ni - 1), dtype=int)  # cells between interior nodes
+    np.add.at(stored, (np.minimum(jr, jc)[cross], np.minimum(ir, ic)[cross]), 1)
+    nonzero = system._cc[1:ni, 1:ni] != 0
+    assert 0 < nonzero.sum() < nonzero.size
+    # both diagonals of the cell, each stored at (r, c) and (c, r)
+    assert np.array_equal(stored, 4 * nonzero)
 
 
 def test_scaled_isotropic_stencil():
@@ -139,7 +174,7 @@ def test_whole_operator_is_complex_symmetric():
 
 def test_symmetric_mode_fill_and_solution(tiny_cfg, tiny_grid, rng):
     # minimum degree on A + A^T stores less of L + U than scipy's default
-    # COLAMD ordering (64,704 against 95,866 entries here) and solves the same
+    # COLAMD ordering (38,530 against 70,560 entries here) and solves the same
     system = solver.assemble_system(tiny_grid, tiny_cfg)
     assert system.fill < splu(system.op).nnz
     ni = system.n_interior
@@ -147,6 +182,40 @@ def test_symmetric_mode_fill_and_solution(tiny_cfg, tiny_grid, rng):
     got = system.solve_grid(b)[1:-1, 1:-1].ravel()
     want = spsolve(system.op, b.ravel())
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _nine_point_pattern(op, ni):
+    """The operator with all 9 stencil entries of every node stored, zero
+    where a12 = 0: the pattern factorized before the zeros were dropped."""
+    jj, ii = np.divmod(np.arange(ni * ni), ni)
+    rows, cols = [], []
+    for dj in (-1, 0, 1):
+        for di in (-1, 0, 1):
+            ok = (0 <= jj + dj) & (jj + dj < ni) & (0 <= ii + di) & (ii + di < ni)
+            rows.append(np.flatnonzero(ok))
+            cols.append(((jj + dj) * ni + ii + di)[ok])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.asarray(op.tocsr()[rows, cols]).ravel()
+    return sp.csc_matrix((vals, (rows, cols)), shape=op.shape)
+
+
+@pytest.mark.parametrize("name", ["example1_circle", "example3_aniso_defects"])
+def test_stored_zeros_change_only_the_fill(name, rng):
+    # the 9-point pattern with explicit zeros is the same matrix: SuperLU
+    # solves it alike to rounding, but orders and fills the zeros as well
+    cfg = cli.load_run_config(name)
+    system = solver.assemble_system(cfg.grid, cfg.media)
+    ni = system.n_interior
+    nine = _nine_point_pattern(system.op, ni)
+    assert nine.nnz > system.op.nnz
+    assert abs(nine - system.op).max() == 0.0
+    lu = splu(nine, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+              options=dict(SymmetricMode=True))
+    assert lu.nnz > system.fill
+    b = rng.standard_normal((4, ni, ni)) + 1j * rng.standard_normal((4, ni, ni))
+    got = system.solve_grid(b)[:, 1:-1, 1:-1].reshape(4, -1)
+    want = lu.solve(b.reshape(4, -1).T).T
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_factorization_probe_residual(tiny_cfg, tiny_grid):
