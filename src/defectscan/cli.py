@@ -142,23 +142,9 @@ def bundled_config_names() -> list:
 # contrast statistic
 
 
-CONTRAST_CLEARANCE = 0.2  # "away from a defect": farther than this from its boundary
-
-
-def _near(shape, pts: np.ndarray, contains: np.ndarray) -> np.ndarray:
-    """Points inside the shape (`contains`) or closer than CONTRAST_CLEARANCE
-    to one of its 512 boundary points.  A point outside those points' bounding
-    box grown by the clearance is farther from all of them, so only the points
-    outside the shape and inside that box are queried."""
-    from scipy.spatial import cKDTree  # only reconstruct's contrast needs it
-
-    edge = shape.boundary_points(512)
-    lo, hi = edge.min(axis=0) - CONTRAST_CLEARANCE, edge.max(axis=0) + CONTRAST_CLEARANCE
-    query = ~contains & np.all((pts >= lo) & (pts <= hi), axis=1)
-    dist, _ = cKDTree(edge).query(pts[query], distance_upper_bound=CONTRAST_CLEARANCE)
-    near = contains.copy()
-    near[query] = dist < CONTRAST_CLEARANCE
-    return near
+# "away from a defect": at least this far from its boundary, as measured by
+# the shape's `boundary_distance` (a lower bound for ellipses)
+CONTRAST_CLEARANCE = 0.2
 
 
 def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig):
@@ -171,7 +157,7 @@ def contrast_statistics(grid: fm.IndicatorGrid, scene: media.MediaConfig):
     inside_each = []
     for d in scene.defects:
         contains = d.shape.contains(pts)
-        near_any |= _near(d.shape, pts, contains)
+        near_any |= contains | (d.shape.boundary_distance(pts) < CONTRAST_CLEARANCE)
         inside_each.append(masked & contains)
     outside = masked & ~near_any
     out_mean = float(np.mean(vals[outside])) if np.any(outside) else float("nan")

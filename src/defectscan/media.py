@@ -59,25 +59,6 @@ class SymTensor2:
         return SymTensor2(1.0, 0.0, 1.0)
 
 
-def sym_eigvals(m11, m12, m22):
-    """Eigenvalues (min, max) of the symmetric 2x2 [[m11, m12], [m12, m22]]."""
-    mean = 0.5 * (m11 + m22)
-    disc = math.hypot(0.5 * (m11 - m22), m12)
-    return mean - disc, mean + disc
-
-
-def sym_abs(m: np.ndarray) -> np.ndarray:
-    """Matrix absolute value of a real symmetric 2x2."""
-    lo, hi = sym_eigvals(m[0, 0], m[0, 1], m[1, 1])
-    if m[0, 1] == 0.0:
-        return np.diag([abs(m[0, 0]), abs(m[1, 1])])
-    # eigenvector for hi
-    v = np.array([m[0, 1], hi - m[0, 0]])
-    v /= np.linalg.norm(v)
-    w = np.array([-v[1], v[0]])
-    return abs(hi) * np.outer(v, v) + abs(lo) * np.outer(w, w)
-
-
 # ---------------------------------------------------------------------------
 # shapes
 
@@ -353,15 +334,12 @@ class MediaConfig:
             raise ConfigInvalid("host index n must be positive")
         if not self.host.A.is_real:
             raise ConfigInvalid("host tensor A must be real")
-        lo, _ = sym_eigvals(self.host.A.a11, self.host.A.a12, self.host.A.a22)
-        if lo <= 0:
+        if np.linalg.eigvalsh(self.host.A.real())[0] <= 0:
             raise ConfigInvalid("host tensor A must be positive definite")
         for idx, d in enumerate(self.defects):
-            relo, _ = sym_eigvals(d.A0.a11, d.A0.a12, d.A0.a22)
-            if relo <= 0:
+            if np.linalg.eigvalsh(d.A0.real())[0] <= 0:
                 raise ConfigInvalid(f"defect {idx}: Re(A0) must be positive definite")
-            _, imhi = sym_eigvals(d.A0.i11, d.A0.i12, d.A0.i22)
-            if imhi > 0:
+            if np.linalg.eigvalsh(d.A0.imag())[-1] > 0:
                 raise ConfigInvalid(f"defect {idx}: Im(A0) must be negative semidefinite")
             n0 = complex(d.n0)
             if n0.real <= 0:
@@ -393,10 +371,8 @@ class MediaConfig:
         return max([self.host.n] + [complex(d.n0).real for d in self.defects] + [1.0])
 
     def min_tensor_eig(self) -> float:
-        vals = [1.0, sym_eigvals(self.host.A.a11, self.host.A.a12, self.host.A.a22)[0]]
-        for d in self.defects:
-            vals.append(sym_eigvals(d.A0.a11, d.A0.a12, d.A0.a22)[0])
-        return min(vals)
+        tensors = [self.host.A.real()] + [d.A0.real() for d in self.defects]
+        return float(min([1.0] + [np.linalg.eigvalsh(t)[0] for t in tensors]))
 
     def min_wavelength(self) -> float:
         """Shortest local wavelength over the scene."""
@@ -433,19 +409,15 @@ def coefficient_table(config: MediaConfig) -> np.ndarray:
 # hypothesis validation
 
 
-def _min_eig(m: np.ndarray):
-    return sym_eigvals(m[0, 0], m[0, 1], m[1, 1])[0]
-
-
-def _alpha_branch(a_re_diff: np.ndarray, re_a0: np.ndarray, abs_im: np.ndarray):
-    """Search alpha > 0 with A - Re(A0) - a|Im(A0)| > 0 and Re(A0) - |Im(A0)|/a >= 0."""
-    best = (None, -np.inf)
-    for alpha in np.logspace(-3, 3, 61):
-        e1 = _min_eig(a_re_diff - alpha * abs_im)
-        e2 = _min_eig(re_a0 - abs_im / alpha)
-        if e2 >= -DEFINITENESS_TOL and e1 > best[1]:
-            best = (float(alpha), e1)
-    return best
+def _young_constant(re_a0: np.ndarray, abs_im: np.ndarray):
+    """The least alpha with Re(A0) - |Im(A0)|/alpha >= 0, which holds exactly
+    for alpha >= lambda_max(L^-1 |Im(A0)| L^-T), L = chol(Re(A0)); None where
+    Re(A0) is singular to rounding and has no Cholesky factor."""
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(re_a0))
+    except np.linalg.LinAlgError:
+        return None
+    return float(np.linalg.eigvalsh(l_inv @ abs_im @ l_inv.T)[-1])
 
 
 def validate_assumptions(config: MediaConfig, h: float = 0.05) -> dict:
@@ -465,8 +437,8 @@ def validate_assumptions(config: MediaConfig, h: float = 0.05) -> dict:
     any_indet = False
     for d in config.defects:
         re0 = d.A0.real()
-        min_fwd = _min_eig(re0 - a)  # Re(A0) - A
-        min_bwd = _min_eig(a - re0)  # A - Re(A0)
+        min_fwd = np.linalg.eigvalsh(re0 - a)[0]  # Re(A0) - A
+        min_bwd = np.linalg.eigvalsh(a - re0)[0]  # A - Re(A0)
         im_a0_zero = d.A0.is_real
         im_n0_zero = complex(d.n0).imag == 0.0
         branch = None
@@ -476,10 +448,15 @@ def validate_assumptions(config: MediaConfig, h: float = 0.05) -> dict:
         elif im_a0_zero and min_bwd > DEFINITENESS_TOL:
             branch = "a_minus_a0"
         elif not im_a0_zero:
-            # absorbing defect: Young-inequality branch with a free constant
-            abs_im = sym_abs(d.A0.imag())
-            alpha, eig = _alpha_branch(a - re0, re0, abs_im)
-            if alpha is not None and eig > DEFINITENESS_TOL:
+            # absorbing defect: the Young-inequality branch.  `validate` made
+            # Im(A0) negative semidefinite, so |Im(A0)| = -Im(A0).  The margin
+            # lambda_min(A - Re(A0) - alpha |Im(A0)|) only falls as alpha grows,
+            # so the least admissible alpha is the best one
+            abs_im = -d.A0.imag()
+            alpha = _young_constant(re0, abs_im)
+            if alpha is not None and (
+                np.linalg.eigvalsh(a - re0 - alpha * abs_im)[0] > DEFINITENESS_TOL
+            ):
                 branch = "absorbing_alpha"
             else:
                 alpha = None

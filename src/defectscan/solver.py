@@ -320,26 +320,16 @@ class FactorizedSystem:
                 f"factorization probe residual {self.probe_residual:.2e} too large"
             )
 
-    def _unknowns(self, b_interior: np.ndarray) -> np.ndarray:
-        """(..., ni, ni) interior values -> (ni^2, batch) columns."""
-        return np.asarray(b_interior, dtype=complex).reshape(-1, self.n_interior**2).T
-
     def solve_grid(self, b_interior: np.ndarray) -> np.ndarray:
         """Solve for the interior unknowns of one right-hand side (ni, ni), or
         a stack (..., ni, ni) in one call, and embed into the full node grid:
         (..., n_nodes, n_nodes), row-major [y, x]."""
         ni, nn = self.n_interior, self.spec.n_nodes
         batch = np.shape(b_interior)[:-2]
-        x = self._lu.solve(self._unknowns(b_interior))
+        b = np.asarray(b_interior, dtype=complex).reshape(-1, ni * ni).T
         full = np.zeros(batch + (nn, nn), dtype=complex)
-        full[..., 1:-1, 1:-1] = x.T.reshape(batch + (ni, ni))
+        full[..., 1:-1, 1:-1] = self._lu.solve(b).T.reshape(batch + (ni, ni))
         return full
-
-    def residual(self, values: np.ndarray, b_interior: np.ndarray) -> float:
-        """Relative residual ||A x - b|| / ||b|| over every field of the stack."""
-        x = self._unknowns(values[..., 1:-1, 1:-1])
-        b = self._unknowns(b_interior)
-        return float(np.linalg.norm(self.op @ x - b) / np.linalg.norm(b))
 
 
 def assemble_system(spec: GridSpec, config: media.MediaConfig) -> FactorizedSystem:

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from defectscan import cli, errors, farfield, fm, io, solver
+from defectscan import cli, errors, farfield, fm, io, media, solver
 from defectscan.errors import ConfigInvalid, SchemaError
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
@@ -70,12 +70,16 @@ def test_bundled_configs_parse_and_validate():
         assert cfg.grid.pml_cells == solver.GridSpec.pml_cells
 
 
-def test_cli_import_loads_only_the_pipeline_modules():
-    # a fresh process, as every subcommand runs: the interpolation, spatial,
-    # special-function and optimization packages load only on first use
+def test_cli_import_loads_only_the_pipeline_modules(tiny_config_path, tmp_path):
+    # a fresh process, as every subcommand runs: the interpolation, special-
+    # function and optimization packages load only on first use, and a whole
+    # reconstruct, contrast masks included, never loads the spatial package
+    data = str(tmp_path / "data")
+    assert cli.main(["simulate", "--config", tiny_config_path, "--out", data]) == 0
+    argv = ["reconstruct", "--config", tiny_config_path, "--out", data]
     code = (
         f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r}); "
-        "from defectscan import cli; cli.load_run_config('example1_circle'); "
+        f"from defectscan import cli; assert cli.main({argv!r}) == 0; "
         "print(' '.join(sorted(sys.modules)))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -291,20 +295,35 @@ def test_outputs_respect_umask(tmp_path):
 
 @pytest.mark.parametrize("n", [81, 161])
 @pytest.mark.parametrize("name", cli.bundled_config_names())
-def test_near_defect_masks_equal_the_unrestricted_query(name, n):
-    # contrast_statistics queries only the points outside a defect and within
-    # the clearance of its boundary points' box; every other point is farther
-    from scipy.spatial import cKDTree
+def test_near_defect_masks_equal_the_unrestricted_query(name, n, rng):
+    # a point is near a defect inside it or closer than the clearance by the
+    # shape's `boundary_distance`: exact for circles and rectangles, a lower
+    # bound for ellipses.  The reference is an unrestricted k-d tree query of
+    # 512 boundary points: the near set contains its set, and equals it for
+    # circles and rectangles, except where rounding decides: lattice points
+    # whose distance is the clearance to within 1e-12
+    from scipy.spatial import cKDTree  # the reference only; the package never loads it
 
     cfg = cli.load_run_config(name)
-    pts = fm.sampling_lattice(cfg.lattice_bounds, n, n)[2]
+    xs, ys, pts = fm.sampling_lattice(cfg.lattice_bounds, n, n)
+    near = np.zeros(len(pts), dtype=bool)
     for d in cfg.media.defects:
         contains = d.shape.contains(pts)
-        dist, _ = cKDTree(d.shape.boundary_points(512)).query(
-            pts, distance_upper_bound=cli.CONTRAST_CLEARANCE)
-        want = contains | (dist < cli.CONTRAST_CLEARANCE)
-        np.testing.assert_array_equal(cli._near(d.shape, pts, contains), want)
-        assert np.any(want & ~contains)
+        dist = d.shape.boundary_distance(pts)
+        by_distance = contains | (dist < cli.CONTRAST_CLEARANCE)
+        by_tree = contains | (cKDTree(d.shape.boundary_points(512)).query(pts)[0]
+                              < cli.CONTRAST_CLEARANCE)
+        settled = np.abs(dist - cli.CONTRAST_CLEARANCE) > 1e-12
+        assert not np.any(by_tree & ~by_distance & settled)
+        if not isinstance(d.shape, media.Ellipse):
+            np.testing.assert_array_equal(by_distance[settled], by_tree[settled])
+        assert np.any(by_distance & ~contains)
+        near |= by_distance
+    # the outside mean of random values averages exactly the points not near
+    values = rng.uniform(1.0, 2.0, (n, n))
+    grid = fm.IndicatorGrid(xs, ys, values, np.ones((n, n), dtype=bool), False, 0)
+    stats = cli.contrast_statistics(grid, cfg.media)
+    assert stats["per_defect"][0]["outside_mean"] == np.mean(values.ravel()[~near])
 
 
 # ---------------------------------------------------------------------------

@@ -411,3 +411,82 @@ def test_indicator_grid_rejects_a_lattice_outside_d(homogeneous_system, bounds, 
     lam, psi = _synthetic_eigenpairs([2.0**-i for i in range(16)])
     with pytest.raises(ConfigInvalid):
         fm.indicator_grid(lam, psi, fields, _identity_operator(16), cfg, bounds, nx, 5)
+
+
+# ---------------------------------------------------------------------------
+# the pipeline commutes with the square's symmetries
+
+# x -> T x: a quarter turn, a half turn and the mirror x -> -x, each of which
+# maps the node grid, the sampling lattice and the N directions onto themselves
+SQUARE_SYMMETRIES = {
+    "quarter turn": ((0, -1), (1, 0)),
+    "half turn": ((-1, 0), (0, -1)),
+    "mirror": ((-1, 0), (0, 1)),
+}
+# example1_ellipse's scene with a sheared defect tensor, so that no turn or
+# mirror leaves it unchanged and every direction is solved
+SHEARED_ELLIPSE = media.MediaConfig(
+    media.HostRegion(media.Rectangle(-2.0, 2.0, -2.0, 2.0), media.SymTensor2(0.5, 0.0, 0.5), 3.0),
+    (media.Defect(media.Ellipse((0.5, 1.0), 0.5, 0.3), media.SymTensor2(1.0, 0.2, 0.8), 1.0),),
+    K,
+)
+SYMMETRY_GRID = solver.GridSpec(4.5, 0.25)
+SYMMETRY_N, SYMMETRY_LATTICE = 16, 41
+
+
+def _moved_scene(scene, t):
+    """The scene moved by x -> t x: shapes moved, tensors A -> t A t^T."""
+    def shape(s):
+        if isinstance(s, media.Ellipse):
+            axes = (s.semi_b, s.semi_a) if t[0, 0] == 0 else (s.semi_a, s.semi_b)
+            return media.Ellipse(tuple(t @ s.center), *axes)
+        (x0, x1), (y0, y1) = np.sort(t @ [[s.xmin, s.xmax], [s.ymin, s.ymax]], axis=1)
+        return media.Rectangle(x0, x1, y0, y1)
+
+    def tensor(a):
+        re, im = t @ a.real() @ t.T, t @ a.imag() @ t.T
+        return media.SymTensor2(re[0, 0], re[0, 1], re[1, 1], im[0, 0], im[0, 1], im[1, 1])
+
+    host = media.HostRegion(shape(scene.host.shape), tensor(scene.host.A), scene.host.n)
+    defects = tuple(media.Defect(shape(d.shape), tensor(d.A0), d.n0) for d in scene.defects)
+    return media.MediaConfig(host, defects, scene.k)
+
+
+def _pipeline(scene):
+    """F0, Fb and the indicator map at floor 1e-4, noise-free."""
+    f0 = farfield.assemble_far_field_matrix(
+        solver.assemble_system(SYMMETRY_GRID, scene), SYMMETRY_N)[0]
+    fb, fields = farfield.assemble_far_field_matrix(
+        solver.assemble_system(SYMMETRY_GRID, scene.background()), SYMMETRY_N)
+    s_inv = farfield.scattering_operator(fb)[0]
+    _, lam, psi = fm.f_sharp(farfield.relative_operator(f0, fb), s_inv)
+    grid = fm.indicator_grid(lam, psi, fields, s_inv, scene, scene.host.shape.bbox(),
+                             SYMMETRY_LATTICE, SYMMETRY_LATTICE, floor_rel=1e-4)
+    return f0.entries, fb.entries, grid.values
+
+
+@pytest.fixture(scope="module")
+def unmoved_pipeline():
+    assert solver.turn_order(solver.assemble_system(SYMMETRY_GRID, SHEARED_ELLIPSE)) == 1
+    return _pipeline(SHEARED_ELLIPSE)
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_SYMMETRIES))
+def test_pipeline_commutes_with_the_squares_symmetries(unmoved_pipeline, name):
+    # moving the scene by x -> T x takes direction j to sigma(j), so F0 and Fb
+    # permute: moved[sigma(i), sigma(j)] = original[i, j]; the map moves with
+    # the lattice points, read in [y, x] order
+    t = np.array(SQUARE_SYMMETRIES[name], dtype=float)
+    moved = _pipeline(_moved_scene(SHEARED_ELLIPSE, t))
+    ang = farfield.direction_angles(SYMMETRY_N)
+    turned = t @ np.array([np.cos(ang), np.sin(ang)])
+    sigma = np.round(np.arctan2(turned[1], turned[0]) * SYMMETRY_N / (2 * np.pi)).astype(int)
+    sigma %= SYMMETRY_N
+    for want, got in zip(unmoved_pipeline[:2], moved[:2]):
+        assert np.abs(got[np.ix_(sigma, sigma)] - want).max() <= 1e-12 * np.abs(want).max()
+    iy, ix = np.indices((SYMMETRY_LATTICE, SYMMETRY_LATTICE))
+    mid = (SYMMETRY_LATTICE - 1) // 2
+    jx, jy = (np.tensordot(t, np.array([ix, iy]) - mid, axes=1) + mid).astype(int)
+    want = np.empty_like(unmoved_pipeline[2])
+    want[jy, jx] = unmoved_pipeline[2][iy, ix]
+    assert np.abs(moved[2] - want).max() <= 1e-10 * np.abs(want).max()

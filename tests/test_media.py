@@ -23,31 +23,6 @@ VOID = media.SymTensor2.identity()
 # tensors
 
 
-def test_sym_eigvals_against_lapack(rng):
-    for _ in range(50):
-        m = rng.normal(size=3)
-        lo, hi = media.sym_eigvals(*m)
-        ref = np.linalg.eigvalsh([[m[0], m[1]], [m[1], m[2]]])
-        assert np.allclose([lo, hi], ref, atol=1e-12)
-
-
-@given(finite, finite, finite)
-@settings(max_examples=50, deadline=None)
-def test_sym_eigvals_property(a, b, c):
-    lo, hi = media.sym_eigvals(a, b, c)
-    ref = np.linalg.eigvalsh([[a, b], [b, c]])
-    assert np.allclose([lo, hi], ref, atol=1e-9)
-
-
-def test_sym_abs_matches_eigendecomposition(rng):
-    for _ in range(25):
-        m = rng.normal(size=3)
-        mat = np.array([[m[0], m[1]], [m[1], m[2]]])
-        w, v = np.linalg.eigh(mat)
-        ref = (v * np.abs(w)) @ v.T
-        assert np.allclose(media.sym_abs(mat), ref, atol=1e-12)
-
-
 def test_tensor_helpers():
     t = media.SymTensor2(2.0, 0.5, 3.0, -0.1, 0.0, -0.2)
     assert np.allclose(t.cmat(), t.real() + 1j * t.imag())
@@ -334,8 +309,8 @@ def test_assumption_margins_match_the_pointwise_loop():
         for p in media.interior_points(d.shape, 200):
             a = _pointwise_coefficients(cfg.background(), p)[0].real()
             m1, m2 = d.A0.real() - a, a - d.A0.real()
-            fwd = min(fwd, media.sym_eigvals(m1[0, 0], m1[0, 1], m1[1, 1])[0])
-            bwd = min(bwd, media.sym_eigvals(m2[0, 0], m2[0, 1], m2[1, 1])[0])
+            fwd = min(fwd, np.linalg.eigvalsh(m1)[0])
+            bwd = min(bwd, np.linalg.eigvalsh(m2)[0])
         got = media.validate_assumptions(cfg)["defects"][0]
         assert (got["min_eig_re_a0_minus_a"], got["min_eig_a_minus_re_a0"]) == (fwd, bwd)
 
@@ -358,6 +333,72 @@ def test_assumptions_absorbing_branch():
     assert d["alpha"] is not None
     assert not d["im_a0_zero"]
     assert not d["im_n0_zero"]
+
+
+def test_absorbing_branch_takes_the_least_admissible_alpha():
+    # Re(A0) - |Im(A0)|/alpha >= 0 needs alpha >= 0.33 / 0.3 = 1.1, where the
+    # margin 0.7 - 0.3 - 1.1 * 0.33 = 0.037 > 0; at the next point of a
+    # 61-point log grid, 1.259, the margin is already -0.015
+    A0 = media.SymTensor2(0.3, 0.0, 0.3, -0.33, 0.0, -0.33)
+    d = media.Defect(media.Circle((0, 0), 1.0), A0, 3.0)
+    rep = media.validate_assumptions(
+        _random_config(A=media.SymTensor2(0.7, 0.0, 0.7), defects=[d])
+    )
+    assert rep["verdict"] == "satisfied"
+    assert rep["defects"][0]["branch"] == "absorbing_alpha"
+    assert rep["defects"][0]["alpha"] == pytest.approx(1.1, abs=1e-12)
+
+
+def _spd(rng, lo, hi):
+    """A random symmetric 2x2 with eigenvalues in [lo, hi)."""
+    t = rng.uniform(0, np.pi)
+    q = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    return (q * rng.uniform(lo, hi, 2)) @ q.T
+
+
+def test_absorbing_alpha_is_admissible_and_beats_every_grid_alpha(rng):
+    # random SPD A and Re(A0) and negative definite Im(A0); the reference
+    # |Im(A0)| comes from an eigendecomposition
+    def margin(m):  # of one tensor or of a stack
+        return np.linalg.eigvalsh(m)[..., 0]
+
+    grid = np.logspace(-3, 3, 601)[:, None, None]
+    absorbing = []
+    for _ in range(300):
+        a, re0, im0 = _spd(rng, 0.3, 2.0), _spd(rng, 0.05, 1.0), -_spd(rng, 0.01, 0.5)
+        A = media.SymTensor2(a[0, 0], a[0, 1], a[1, 1])
+        A0 = media.SymTensor2(re0[0, 0], re0[0, 1], re0[1, 1], im0[0, 0], im0[0, 1], im0[1, 1])
+        d = media.Defect(media.Circle((0, 0), 1.0), A0, 3.0)
+        got = media.validate_assumptions(_random_config(A=A, defects=[d]))["defects"][0]
+        if got["branch"] == "re_a0_minus_a":
+            continue
+        a, re0 = A.real(), A0.real()
+        w, v = np.linalg.eigh(A0.imag())
+        abs_im = (v * np.abs(w)) @ v.T
+        feasible = margin(re0 - abs_im / grid) >= -1e-12
+        best_grid = np.max(margin(a - re0 - grid * abs_im), initial=-np.inf, where=feasible)
+        alpha = got["alpha"]
+        absorbing.append(alpha is not None)
+        if alpha is None:
+            assert got["branch"] is None
+            assert best_grid <= media.DEFINITENESS_TOL
+        else:
+            assert got["branch"] == "absorbing_alpha"
+            assert margin(re0 - abs_im / alpha) >= -1e-12
+            assert best_grid <= margin(a - re0 - alpha * abs_im) + 1e-12
+    assert 10 < sum(absorbing) < len(absorbing) - 10
+
+
+def test_absorbing_branch_when_re_a0_has_no_cholesky_factor():
+    # [[1, 3], [3, 9]] is singular: the eigensolver may still call it positive
+    # definite by rounding, but it has no Cholesky factor and so no Young constant
+    A0 = media.SymTensor2(1.0, 3.0, 9.0, -0.1, 0.0, -0.1)
+    cfg = _random_config(defects=[media.Defect(media.Circle((0, 0), 1.0), A0, 3.0)])
+    try:
+        got = media.validate_assumptions(cfg)["defects"][0]
+    except ConfigInvalid:
+        return  # rejected: Re(A0) is not positive definite
+    assert got["branch"] is None and got["alpha"] is None
 
 
 def test_assumptions_report_serializable():

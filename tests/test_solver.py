@@ -22,6 +22,15 @@ def _disc_scene(a=0.9, n=1.1, radius=1.0):
     return media.MediaConfig(host, (), K)
 
 
+def _residual(system, values, b_interior):
+    """Relative residual ||A x - b|| / ||b|| of the interior unknowns of a
+    stack of grid fields, over every field of the stack."""
+    ni = system.n_interior
+    x = values[..., 1:-1, 1:-1].reshape(-1, ni * ni).T
+    b = np.reshape(b_interior, (-1, ni * ni)).T
+    return float(np.linalg.norm(system.op @ x - b) / np.linalg.norm(b))
+
+
 def _grid_for(cfg, L, ppw):
     h_t = cfg.min_wavelength() / ppw
     cells = math.ceil(2 * L / h_t)
@@ -399,7 +408,7 @@ def test_pde_residual(tiny_cfg, tiny_grid):
     d = (math.cos(0.7), math.sin(0.7))
     f = solver.solve_plane_wave(system, d)
     rhs = solver.plane_wave_rhs(system, d)
-    assert system.residual(f, rhs) <= 1e-9
+    assert _residual(system, f, rhs) <= 1e-9
 
 
 def test_mie_parity_at_coarse_grid():
@@ -483,7 +492,7 @@ def test_batched_solve_matches_single_directions(tiny_cfg):
     ff = solver.far_field(spec, batch, K, 1.25, ANGLES64)
     assert batch.shape == (m, spec.n_nodes, spec.n_nodes)
     assert ff.shape == (m, 64)
-    assert system.residual(batch, solver.plane_wave_rhs(system, dirs)) <= 1e-9
+    assert _residual(system, batch, solver.plane_wave_rhs(system, dirs)) <= 1e-9
     for j, d in enumerate(dirs):
         one = solver.solve_plane_wave(system, d)
         scale = np.abs(one).max()
