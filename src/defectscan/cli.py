@@ -45,6 +45,8 @@ class RunConfig:
             raise ConfigInvalid(f"noise level must be finite and >= 0, got {self.noise_level}")
         if self.noise_seed < 0:
             raise ConfigInvalid(f"noise seed must be >= 0, got {self.noise_seed}")
+        if self.n_dirs % 2 or self.n_dirs < 8:  # before any factorization
+            raise ConfigInvalid("need an even number of directions, at least 8")
 
 
 def _tensor_from_dict(d: dict, key: str) -> media.SymTensor2:
@@ -203,6 +205,7 @@ def cmd_reconstruct(
     farfield.check_compatible(fields, f0)
     if abs(f0.k - cfg.media.k) > 1e-12 * max(f0.k, cfg.media.k):
         raise DimensionMismatch(f"data wavenumber {f0.k} differs from the config's {cfg.media.k}")
+    assumptions = media.validate_assumptions(cfg.media, h=fields.spec.h)  # before any output
 
     if cfg.noise_level > 0:
         f0 = farfield.add_noise(f0, cfg.noise_level, cfg.noise_seed)
@@ -223,7 +226,7 @@ def cmd_reconstruct(
         "N": f0.n,
         "noise": {"level": cfg.noise_level, "seed": cfg.noise_seed},
         "unitarity_defect": unitarity,
-        "assumptions": media.validate_assumptions(cfg.media, h=fields.spec.h),
+        "assumptions": assumptions,
         "floored_modes": grid.floored_modes,
         "no_defect_signal": grid.no_defect_signal,
         "contrast": contrast_statistics(grid, cfg.media),
@@ -237,7 +240,8 @@ def cmd_reconstruct(
 def _mie_applicable(scene: media.MediaConfig) -> bool:
     s = scene.host.shape
     return (
-        isinstance(s, media.Circle)
+        isinstance(s, media.Ellipse)
+        and s.semi_a == s.semi_b
         and s.center == (0.0, 0.0)
         and not scene.defects
         and scene.host.A.is_real
@@ -281,7 +285,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
 
     if _mie_applicable(cfg.media):
         exact = solver.mie_far_field(
-            cfg.media.host.A.a11, cfg.media.host.n, cfg.media.host.shape.radius,
+            cfg.media.host.A.a11, cfg.media.host.n, cfg.media.host.shape.semi_a,
             cfg.media.k, 0.0, farfield.direction_angles(fb.n),
         )
         err = float(np.linalg.norm(fb.entries[:, 0] - exact) / np.linalg.norm(exact))

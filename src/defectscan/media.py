@@ -17,7 +17,9 @@ import numpy as np
 from .errors import ConfigInvalid, SchemaError
 
 # Verdict threshold for "uniformly positive": eigenvalues closer to zero than
-# this are reported as indeterminate rather than satisfied/violated.
+# this are reported as indeterminate rather than satisfied/violated.  Relative
+# to a tensor's largest eigenvalue, it is also where `validate` calls an
+# eigenvalue zero.
 DEFINITENESS_TOL = 1e-12
 
 
@@ -46,17 +48,10 @@ class SymTensor2:
     def imag(self) -> np.ndarray:
         return np.array([[self.i11, self.i12], [self.i12, self.i22]])
 
-    def cmat(self) -> np.ndarray:
-        return self.real() + 1j * self.imag()
-
     @property
     def is_real(self) -> bool:
         # a tuple comparison is a Python bool even for numpy entries
         return (self.i11, self.i12, self.i22) == (0.0, 0.0, 0.0)
-
-    @staticmethod
-    def identity() -> "SymTensor2":
-        return SymTensor2(1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -64,40 +59,9 @@ class SymTensor2:
 
 
 @dataclass(frozen=True)
-class Circle:
-    center: tuple[float, float]
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ConfigInvalid("circle radius must be positive")
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        dx = pts[..., 0] - self.center[0]
-        dy = pts[..., 1] - self.center[1]
-        return dx * dx + dy * dy < self.radius * self.radius
-
-    def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        """Distance to the circle's boundary (exact)."""
-        pts = np.asarray(pts, dtype=float)
-        r = np.hypot(pts[..., 0] - self.center[0], pts[..., 1] - self.center[1])
-        return np.abs(r - self.radius)
-
-    def boundary_points(self, n: int) -> np.ndarray:
-        t = 2 * np.pi * np.arange(n) / n
-        return np.column_stack(
-            (self.center[0] + self.radius * np.cos(t), self.center[1] + self.radius * np.sin(t))
-        )
-
-    def bbox(self):
-        cx, cy = self.center
-        r = self.radius
-        return (cx - r, cx + r, cy - r, cy + r)
-
-
-@dataclass(frozen=True)
 class Ellipse:
+    """Axis-aligned ellipse; a circle is one with equal semi-axes."""
+
     center: tuple[float, float]
     semi_a: float
     semi_b: float
@@ -259,8 +223,11 @@ def shape_from_dict(d: dict):
 
     try:
         kind = d["type"]
-        if kind == "circle":
-            return Circle(center(), num("radius"))
+        if kind == "circle":  # an ellipse with equal semi-axes
+            radius = num("radius")
+            if radius <= 0:
+                raise ConfigInvalid("circle radius must be positive")
+            return Ellipse(center(), radius, radius)
         if kind == "ellipse":
             return Ellipse(center(), num("semi_a"), num("semi_b"))
         if kind == "rectangle":
@@ -306,6 +273,14 @@ def interior_points(shape, count: int) -> np.ndarray:
 # scene configuration
 
 
+def _eigvals_and_tol(t: np.ndarray):
+    """Ascending eigenvalues of a symmetric tensor, and the rounding scale
+    DEFINITENESS_TOL * max|lambda| within which an eigenvalue counts as zero,
+    so that a singular tensor is never called definite by rounding."""
+    lam = np.linalg.eigvalsh(t)
+    return lam, DEFINITENESS_TOL * np.abs(lam).max()
+
+
 @dataclass(frozen=True)
 class HostRegion:
     shape: object
@@ -334,12 +309,15 @@ class MediaConfig:
             raise ConfigInvalid("host index n must be positive")
         if not self.host.A.is_real:
             raise ConfigInvalid("host tensor A must be real")
-        if np.linalg.eigvalsh(self.host.A.real())[0] <= 0:
+        lam, tol = _eigvals_and_tol(self.host.A.real())
+        if lam[0] <= tol:
             raise ConfigInvalid("host tensor A must be positive definite")
         for idx, d in enumerate(self.defects):
-            if np.linalg.eigvalsh(d.A0.real())[0] <= 0:
+            lam, tol = _eigvals_and_tol(d.A0.real())
+            if lam[0] <= tol:
                 raise ConfigInvalid(f"defect {idx}: Re(A0) must be positive definite")
-            if np.linalg.eigvalsh(d.A0.imag())[-1] > 0:
+            lam, tol = _eigvals_and_tol(d.A0.imag())
+            if lam[-1] > tol:
                 raise ConfigInvalid(f"defect {idx}: Im(A0) must be negative semidefinite")
             n0 = complex(d.n0)
             if n0.real <= 0:
@@ -367,16 +345,13 @@ class MediaConfig:
         """The same host without its defects: the background medium."""
         return replace(self, defects=())
 
-    def max_index(self) -> float:
-        return max([self.host.n] + [complex(d.n0).real for d in self.defects] + [1.0])
-
-    def min_tensor_eig(self) -> float:
-        tensors = [self.host.A.real()] + [d.A0.real() for d in self.defects]
-        return float(min([1.0] + [np.linalg.eigvalsh(t)[0] for t in tensors]))
-
     def min_wavelength(self) -> float:
-        """Shortest local wavelength over the scene."""
-        return 2 * np.pi / (self.k * math.sqrt(self.max_index() / self.min_tensor_eig()))
+        """Shortest local wavelength over the scene: the largest index over the
+        smallest tensor eigenvalue, free space's (I, 1) included."""
+        n_max = max([self.host.n] + [complex(d.n0).real for d in self.defects] + [1.0])
+        tensors = [self.host.A.real()] + [d.A0.real() for d in self.defects]
+        a_min = float(min([1.0] + [np.linalg.eigvalsh(t)[0] for t in tensors]))
+        return 2 * np.pi / (self.k * math.sqrt(n_max / a_min))
 
 
 def sample_grid(config: MediaConfig, xs, ys) -> np.ndarray:
@@ -400,7 +375,7 @@ def coefficient_table(config: MediaConfig) -> np.ndarray:
     A = config.host.A
     rows = [(1.0, 0.0, 1.0, 1.0), (A.a11, A.a12, A.a22, config.host.n)]
     for d in config.defects:
-        c = d.A0.cmat()
+        c = d.A0.real() + 1j * d.A0.imag()
         rows.append((c[0, 0], c[0, 1], c[1, 1], complex(d.n0)))
     return np.array(rows, dtype=complex)
 
@@ -409,14 +384,12 @@ def coefficient_table(config: MediaConfig) -> np.ndarray:
 # hypothesis validation
 
 
-def _young_constant(re_a0: np.ndarray, abs_im: np.ndarray):
+def _young_constant(re_a0: np.ndarray, abs_im: np.ndarray) -> float:
     """The least alpha with Re(A0) - |Im(A0)|/alpha >= 0, which holds exactly
-    for alpha >= lambda_max(L^-1 |Im(A0)| L^-T), L = chol(Re(A0)); None where
-    Re(A0) is singular to rounding and has no Cholesky factor."""
-    try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(re_a0))
-    except np.linalg.LinAlgError:
-        return None
+    for alpha >= lambda_max(L^-1 |Im(A0)| L^-T), L = chol(Re(A0)).  `validate`
+    accepts only an Re(A0) whose condition number is below 1 / DEFINITENESS_TOL,
+    so the factor exists."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(re_a0))
     return float(np.linalg.eigvalsh(l_inv @ abs_im @ l_inv.T)[-1])
 
 
@@ -454,9 +427,7 @@ def validate_assumptions(config: MediaConfig, h: float = 0.05) -> dict:
             # so the least admissible alpha is the best one
             abs_im = -d.A0.imag()
             alpha = _young_constant(re0, abs_im)
-            if alpha is not None and (
-                np.linalg.eigvalsh(a - re0 - alpha * abs_im)[0] > DEFINITENESS_TOL
-            ):
+            if np.linalg.eigvalsh(a - re0 - alpha * abs_im)[0] > DEFINITENESS_TOL:
                 branch = "absorbing_alpha"
             else:
                 alpha = None

@@ -33,10 +33,10 @@ def ex1_operator(ex1_data):
 def tiny_cfg():
     """Small scene with real contrast: fast forward solves for plumbing tests."""
     host = media.HostRegion(
-        media.Circle((0.0, 0.0), 1.0), media.SymTensor2(0.5, 0.0, 0.5), 2.0
+        media.Ellipse((0.0, 0.0), 1.0, 1.0), media.SymTensor2(0.5, 0.0, 0.5), 2.0
     )
     defect = media.Defect(
-        media.Circle((0.0, 0.0), 0.4), media.SymTensor2.identity(), 1.0 + 0j
+        media.Ellipse((0.0, 0.0), 0.4, 0.4), media.SymTensor2(1.0, 0.0, 1.0), 1.0 + 0j
     )
     return media.MediaConfig(host, (defect,), 1.0)
 
@@ -50,7 +50,7 @@ def tiny_grid():
 def homogeneous_system():
     """Zero-contrast medium on a small grid (exact free space)."""
     host = media.HostRegion(
-        media.Circle((0.0, 0.0), 1.0), media.SymTensor2.identity(), 1.0
+        media.Ellipse((0.0, 0.0), 1.0, 1.0), media.SymTensor2(1.0, 0.0, 1.0), 1.0
     )
     cfg = media.MediaConfig(host, (), 1.0)
     spec = solver.GridSpec(3.0, 0.25, 12)

@@ -78,7 +78,7 @@ def aniso_runs(tmp_path_factory):
 def test_criterion_1_forward_solver_oracle_parity():
     t0 = time.perf_counter()
     host = media.HostRegion(
-        media.Circle((0.0, 0.0), 1.0), media.SymTensor2(0.9, 0.0, 0.9), 1.1
+        media.Ellipse((0.0, 0.0), 1.0, 1.0), media.SymTensor2(0.9, 0.0, 0.9), 1.1
     )
     cfg = media.MediaConfig(host, (), 1.0)
     cells = math.ceil(2 * 3.5 / (cfg.min_wavelength() / 15))

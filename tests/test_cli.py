@@ -298,10 +298,10 @@ def test_outputs_respect_umask(tmp_path):
 def test_near_defect_masks_equal_the_unrestricted_query(name, n, rng):
     # a point is near a defect inside it or closer than the clearance by the
     # shape's `boundary_distance`: exact for circles and rectangles, a lower
-    # bound for ellipses.  The reference is an unrestricted k-d tree query of
-    # 512 boundary points: the near set contains its set, and equals it for
-    # circles and rectangles, except where rounding decides: lattice points
-    # whose distance is the clearance to within 1e-12
+    # bound for ellipses with unequal semi-axes.  The reference is an
+    # unrestricted k-d tree query of 512 boundary points: the near set contains
+    # its set, and equals it for circles and rectangles, except where rounding
+    # decides: lattice points whose distance is the clearance to within 1e-12
     from scipy.spatial import cKDTree  # the reference only; the package never loads it
 
     cfg = cli.load_run_config(name)
@@ -315,7 +315,7 @@ def test_near_defect_masks_equal_the_unrestricted_query(name, n, rng):
                               < cli.CONTRAST_CLEARANCE)
         settled = np.abs(dist - cli.CONTRAST_CLEARANCE) > 1e-12
         assert not np.any(by_tree & ~by_distance & settled)
-        if not isinstance(d.shape, media.Ellipse):
+        if not (isinstance(d.shape, media.Ellipse) and d.shape.semi_a != d.shape.semi_b):
             np.testing.assert_array_equal(by_distance[settled], by_tree[settled])
         assert np.any(by_distance & ~contains)
         near |= by_distance
@@ -324,6 +324,41 @@ def test_near_defect_masks_equal_the_unrestricted_query(name, n, rng):
     grid = fm.IndicatorGrid(xs, ys, values, np.ones((n, n), dtype=bool), False, 0)
     stats = cli.contrast_statistics(grid, cfg.media)
     assert stats["per_defect"][0]["outside_mean"] == np.mean(values.ravel()[~near])
+
+
+def _circle_specs(spec):
+    """The circle specs in a shape spec, union members included."""
+    if spec["type"] == "union":
+        return [c for m in spec["members"] for c in _circle_specs(m)]
+    return [spec] if spec["type"] == "circle" else []
+
+
+def test_circle_masks_equal_the_circle_formulas():
+    # a circle is read as an ellipse with equal semi-axes; on its preset's 81^2
+    # lattice and on reconstruct_sweep's 161^2 lattice of [-2, 2]^2, its inside
+    # and near masks are those of the circle formulas dx^2 + dy^2 < r^2 and
+    # |hypot(dx, dy) - r|, so rounding moves no lattice point across either
+    checked = 0
+    for name in cli.bundled_config_names():
+        with open(os.path.join(os.path.dirname(cli.__file__), "configs", f"{name}.json")) as fh:
+            doc = json.load(fh)
+        specs = [doc["host"]["shape"]] + [d["shape"] for d in doc.get("defects", [])]
+        lattices = [fm.sampling_lattice(cli.load_run_config(name).lattice_bounds, 81, 81)[2],
+                    fm.sampling_lattice((-2.0, 2.0, -2.0, 2.0), 161, 161)[2]]
+        for spec in (c for s in specs for c in _circle_specs(s)):
+            shape = media.shape_from_dict(spec)
+            (cx, cy), r = spec["center"], spec["radius"]
+            assert shape == media.Ellipse((cx, cy), r, r)
+            for pts in lattices:
+                dx, dy = pts[:, 0] - cx, pts[:, 1] - cy
+                np.testing.assert_array_equal(shape.contains(pts), dx * dx + dy * dy < r * r)
+                np.testing.assert_array_equal(
+                    shape.boundary_distance(pts) < cli.CONTRAST_CLEARANCE,
+                    np.abs(np.hypot(dx, dy) - r) < cli.CONTRAST_CLEARANCE,
+                )
+            checked += 1
+    # example1_circle's defect, example1_twodiscs' two, example2_aniso_host's
+    assert checked == 4
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +572,26 @@ def test_undefined_contrast_is_null_in_the_report(ex1_data, tmp_path):
     assert defect["inside_mean"] > 0
 
 
+@pytest.mark.parametrize("tensor, message", [
+    ("A", "host tensor A must be positive definite"),
+    ("A0", "defect 0: Re(A0) must be positive definite"),
+])
+def test_singular_tensor_exits_2(tiny_simulation, tmp_path, capsys, tensor, message):
+    # [[1, 3], [3, 9]] is singular, though eigvalsh gives it lambda_min =
+    # 1.1e-16 > 0; both subcommands reject it before they write anything
+    doc = json.loads(json.dumps(TINY_DOC))
+    node = doc["host"] if tensor == "A" else doc["defects"][0]
+    node[tensor] = {"a11": 1.0, "a12": 3.0, "a22": 9.0}
+    p = tmp_path / "singular.json"
+    p.write_text(json.dumps(doc))
+    sim, rec = tmp_path / "sim", tmp_path / "rec"
+    assert cli.main(["simulate", "--config", str(p), "--out", str(sim)]) == 2
+    assert _reconstruct(tiny_simulation, rec, config=str(p)) == 2
+    errs = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert [(e["error"], e["message"]) for e in errs] == [("ConfigInvalid", message)] * 2
+    assert os.listdir(sim) == os.listdir(rec) == []
+
+
 def test_reconstruct_checks_assumptions_at_the_data_grid(tiny_simulation, tmp_path):
     # at h = 0.8 the defect (radius 0.4) has no h margin inside the host
     # (radius 1), so the config's grid fails the containment check; the data
@@ -663,6 +718,26 @@ def test_directions_flag_beyond_its_bound_is_a_usage_error(tiny_config_path, tmp
         assert err["error"] == "UsageError"
         assert f"at most {farfield.MAX_DIRECTIONS}" in err["message"]
     assert not os.path.exists(tmp_path / "out" / "F0.ffm.json")
+
+
+@pytest.mark.parametrize("n", [7, 6, -4])
+def test_bad_direction_count_exits_2_before_any_factorization(
+    tiny_config_path, tmp_path, capsys, monkeypatch, n
+):
+    # the far-field assembly needs N even and at least 8; the run file and the
+    # flag are both checked before the first medium is factorized
+    calls = []
+    monkeypatch.setattr(solver, "assemble_system", lambda *args: calls.append(args))
+    p = tmp_path / "dirs.json"
+    p.write_text(json.dumps({**TINY_DOC, "directions": n}))
+    out = str(tmp_path / "out")
+    for argv in (["--config", str(p)], ["--config", tiny_config_path, "--directions", str(n)]):
+        for command in ("simulate", "verify"):
+            assert cli.main([command, *argv, "--out", out]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigInvalid"
+            assert err["message"] == "need an even number of directions, at least 8"
+    assert calls == []
 
 
 def test_grid_beyond_the_node_bound_is_rejected():
@@ -986,6 +1061,27 @@ def test_verify_rejects_an_invalid_scene(tmp_path, capsys, config, flags, messag
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigInvalid" and message in err["message"]
     assert not (out / "report.json").exists()
+
+
+def test_verify_skips_mie_for_an_ellipse_host(tmp_path):
+    # a centred, defect-free host with unequal semi-axes has no Mie series
+    doc = {
+        "schema": "run/1", "k": 1.0,
+        "host": {
+            "shape": {"type": "ellipse", "center": [0.0, 0.0], "semi_a": 1.0, "semi_b": 0.8},
+            "A": {"a11": 0.9, "a12": 0.0, "a22": 0.9},
+            "n": 1.1,
+        },
+        "grid": {"half_extent": 3.5, "h": 0.175},
+        "directions": 16,
+    }
+    p = tmp_path / "ellipse.json"
+    p.write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    assert cli.main(["verify", "--config", str(p), "--out", out]) == 0
+    report = json.load(open(os.path.join(out, "report.json")))
+    mie = next(c for c in report["checks"] if c["name"] == "mie_parity")
+    assert mie == {"name": "mie_parity", "skipped": True, "passed": True}
 
 
 def test_verify_skips_mie_for_noncircular_host(tiny_config_path, tmp_path):

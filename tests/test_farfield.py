@@ -84,9 +84,11 @@ def test_far_field_matrix_matches_per_column_reference(tiny_cfg):
     assert np.abs(f.entries - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def _tiny_scene(host_a, centers, defect_a=media.SymTensor2.identity()):
-    host = media.HostRegion(media.Circle((0.0, 0.0), 1.0), host_a, 2.0)
-    defects = tuple(media.Defect(media.Circle(c, 0.25), defect_a, 1.0 + 0.1j) for c in centers)
+def _tiny_scene(host_a, centers, defect_a=media.SymTensor2(1.0, 0.0, 1.0)):
+    host = media.HostRegion(media.Ellipse((0.0, 0.0), 1.0, 1.0), host_a, 2.0)
+    defects = tuple(
+        media.Defect(media.Ellipse(c, 0.25, 0.25), defect_a, 1.0 + 0.1j) for c in centers
+    )
     return media.MediaConfig(host, defects, K)
 
 
@@ -159,10 +161,10 @@ def test_relative_operator_mismatch(ex1_data):
 
 
 def test_rotationally_symmetric_scene_is_circulant():
-    host = media.HostRegion(media.Circle((0, 0), 2.0), media.SymTensor2(0.5, 0, 0.5), 3.0)
+    host = media.HostRegion(media.Ellipse((0, 0), 2.0, 2.0), media.SymTensor2(0.5, 0, 0.5), 3.0)
     cfg = media.MediaConfig(
         host,
-        (media.Defect(media.Circle((0, 0), 1.0), media.SymTensor2.identity(), 1.0),),
+        (media.Defect(media.Ellipse((0, 0), 1.0, 1.0), media.SymTensor2(1.0, 0.0, 1.0), 1.0),),
         K,
     )
     spec = solver.GridSpec(3.0, 0.05, 16)
@@ -215,8 +217,10 @@ def test_quarter_turn_rolls_far_field_matrices(
         def t(a):
             return media.SymTensor2(a.a22, -a.a12, a.a11) if turn else a
 
-        host = media.HostRegion(media.Circle(c(host_c), host_r), t(host_a), host_n)
-        defect = media.Defect(media.Circle(c(defect_c), defect_r), t(defect_a), complex(defect_n, 0.1))
+        host = media.HostRegion(media.Ellipse(c(host_c), host_r, host_r), t(host_a), host_n)
+        defect = media.Defect(
+            media.Ellipse(c(defect_c), defect_r, defect_r), t(defect_a), complex(defect_n, 0.1)
+        )
         return media.MediaConfig(host, (defect,), K)
 
     for medium in (scene, lambda turn: scene(turn).background()):
@@ -229,9 +233,9 @@ def test_quarter_turn_rolls_far_field_matrices(
 
 
 def _lossless_scene(host_c, host_r, host_a, host_n, offset, defect_r, defect_a, defect_n):
-    host = media.HostRegion(media.Circle(host_c, host_r), host_a, host_n)
+    host = media.HostRegion(media.Ellipse(host_c, host_r, host_r), host_a, host_n)
     defect_c = (host_c[0] + offset[0], host_c[1] + offset[1])
-    defect = media.Defect(media.Circle(defect_c, defect_r), defect_a, complex(defect_n))
+    defect = media.Defect(media.Ellipse(defect_c, defect_r, defect_r), defect_a, complex(defect_n))
     return media.MediaConfig(host, (defect,), K)
 
 

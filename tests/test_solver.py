@@ -18,7 +18,7 @@ ANGLES64 = 2 * np.pi * np.arange(64) / 64
 
 
 def _disc_scene(a=0.9, n=1.1, radius=1.0):
-    host = media.HostRegion(media.Circle((0, 0), radius), media.SymTensor2(a, 0.0, a), n)
+    host = media.HostRegion(media.Ellipse((0, 0), radius, radius), media.SymTensor2(a, 0.0, a), n)
     return media.MediaConfig(host, (), K)
 
 
@@ -85,7 +85,7 @@ def _center_row(system, spec):
 
 
 def test_homogeneous_stencil_is_five_point():
-    host = media.HostRegion(media.Circle((0, 0), 1.0), media.SymTensor2.identity(), 1.0)
+    host = media.HostRegion(media.Ellipse((0, 0), 1.0, 1.0), media.SymTensor2(1.0, 0.0, 1.0), 1.0)
     cfg = media.MediaConfig(host, (), K)
     spec = solver.GridSpec(2.0, 0.25, 8)
     system = solver.assemble_system(spec, cfg)
@@ -310,7 +310,7 @@ def test_narrow_band_matches_full_lattice(name):
 coords = st.floats(-1.0, 1.0)
 sizes = st.floats(0.01, 1.2)  # down to a tenth of the smallest cell
 simple_shapes = st.one_of(
-    st.builds(media.Circle, st.tuples(coords, coords), sizes),
+    st.builds(lambda c, r: media.Ellipse(c, r, r), st.tuples(coords, coords), sizes),
     st.builds(media.Ellipse, st.tuples(coords, coords), sizes, sizes),
     st.builds(lambda x, y, w, t: media.Rectangle(x, x + w, y, y + t), coords, coords, sizes, sizes),
 )
@@ -425,7 +425,7 @@ def test_mie_parity_at_coarse_grid():
 def test_pml_collar_of_8_cells_matches_16():
     # the presets' contrast on a disc of radius 2, 32 x 32 far-field matrix:
     # halving the collar moves the error against the Mie series by < 1%
-    host = media.HostRegion(media.Circle((0, 0), 2.0), media.SymTensor2(0.5, 0.0, 0.5), 3.0)
+    host = media.HostRegion(media.Ellipse((0, 0), 2.0, 2.0), media.SymTensor2(0.5, 0.0, 0.5), 3.0)
     cfg = media.MediaConfig(host, (), K)
     angles = farfield.direction_angles(32)
     exact = np.column_stack([solver.mie_far_field(0.5, 3.0, 2.0, K, a, angles) for a in angles])
@@ -453,8 +453,10 @@ def test_grid_convergence_factor():
 
 def test_plane_wave_rhs_matches_direct_stencil():
     # anisotropic host (a12 != 0) and a lossy defect exercise every plane
-    host = media.HostRegion(media.Circle((0, 0), 1.0), media.SymTensor2(0.6, 0.15, 0.5), 2.0)
-    defect = media.Defect(media.Circle((0.2, 0), 0.4), media.SymTensor2.identity(), 1.0 + 0.2j)
+    host = media.HostRegion(media.Ellipse((0, 0), 1.0, 1.0), media.SymTensor2(0.6, 0.15, 0.5), 2.0)
+    defect = media.Defect(
+        media.Ellipse((0.2, 0), 0.4, 0.4), media.SymTensor2(1.0, 0.0, 1.0), 1.0 + 0.2j
+    )
     cfg = media.MediaConfig(host, (defect,), K)
     system = solver.assemble_system(solver.GridSpec(2.0, 0.125, 8), cfg)
     c, h = system.spec.coords(), system.spec.h
