@@ -47,6 +47,7 @@ class RunConfig:
             raise ConfigInvalid(f"noise seed must be >= 0, got {self.noise_seed}")
         if self.n_dirs % 2 or self.n_dirs < 8:  # before any factorization
             raise ConfigInvalid("need an even number of directions, at least 8")
+        fm.check_floor(self.floor_rel)  # before any file is read or medium factorized
 
 
 def _tensor_from_dict(d: dict, key: str) -> media.SymTensor2:

@@ -26,6 +26,7 @@ from .farfield import FarFieldMatrix, FieldSet
 
 HERMITIAN_TOL = 1e-10
 DEFAULT_FLOOR_REL = 1e-12
+MAX_FLOOR_REL = 1e-2
 INDICATOR_CAP = 1e30
 # lattice points per axis: 2048^2 = 4.2M points, whose spline rows alone take ~0.8 GB
 MAX_LATTICE = 2048
@@ -132,11 +133,16 @@ def test_functions(
 # Picard indicator
 
 
+def check_floor(floor_rel: float):
+    """The relative eigenvalue floor lies in [0, MAX_FLOOR_REL]; raises ConfigInvalid."""
+    if not (0.0 <= floor_rel <= MAX_FLOOR_REL):
+        raise ConfigInvalid(f"floor_rel must lie in [0, {MAX_FLOOR_REL:g}]")
+
+
 def kept_modes(lam: np.ndarray, floor_rel: float) -> np.ndarray:
     """Eigenpairs the Picard series sums over: lambda_i >= floor_rel * lambda_1
     and lambda_i > 0 (none when lambda_1 <= 0)."""
-    if not (0.0 <= floor_rel <= 1e-2):
-        raise ConfigInvalid("floor_rel must lie in [0, 1e-2]")
+    check_floor(floor_rel)
     if lam.size == 0 or lam[0] <= 0.0:
         return np.zeros(lam.shape, dtype=bool)
     return (lam >= floor_rel * lam[0]) & (lam > 0)

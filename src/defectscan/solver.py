@@ -17,6 +17,11 @@ sampling the grid fields with a tensor-product not-a-knot cubic spline built
 in numpy (uniform B-splines, so the CLI need not import scipy.interpolate);
 an angular-mode series for the isotropic penetrable disc serves as the
 analytic oracle.
+
+Importing the module loads no scipy, so reading a run file does not pay for
+it.  Setting up a medium loads scipy.sparse.linalg, and with it scipy.linalg;
+sampling fields needs only scipy.sparse, so reconstruct loads no more; the
+oracle loads scipy.special.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import media
 from .errors import ConfigInvalid, ModeSystemSingular, SingularSystem
@@ -145,6 +148,8 @@ def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = Fal
     fitted BLOCK at a time, each quantity's coefficients evaluated and freed
     before the next is formed.  Raises ConfigInvalid for a point off the grid.
     """
+    from scipy.sparse import csr_matrix
+
     c = spec.coords()
     n, nc = len(c), len(c) + 2  # nodes, coefficients per axis
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -158,7 +163,7 @@ def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = Fal
     iy, wy = _spline_rows(c, spec.h, y)
     cols = ix.reshape(p, 4, 1) * nc + iy.reshape(p, 1, 4)
     data = wx.reshape(p, 4, 1) * wy.reshape(p, 1, 4)
-    rows = sp.csr_matrix(
+    rows = csr_matrix(
         (data.ravel(), cols.ravel(), np.arange(0, 16 * p + 1, 16)), shape=(p, nc * nc)
     )
 
@@ -221,6 +226,11 @@ class FactorizedSystem:
     """Factorized discretization of one medium: a scene, or its background."""
 
     def __init__(self, spec: GridSpec, config: media.MediaConfig):
+        # load the sparse LU before any array of the medium exists: imported
+        # between the coefficient planes, its modules land amid them on the
+        # heap and fine_grid's peak RSS rose by 8-10 MB
+        import scipy.sparse.linalg  # noqa: F401
+
         self.spec = spec
         self.config = config
         self.k = config.k
@@ -254,6 +264,8 @@ class FactorizedSystem:
     # -- matrix construction -------------------------------------------------
 
     def _assemble(self, fx, fy, cc, mass, h):
+        from scipy.sparse import coo_matrix
+
         nn = self.spec.n_nodes
         ni = nn - 2  # interior nodes per axis (outer ring is Dirichlet zero)
         self.n_interior = ni
@@ -285,7 +297,7 @@ class FactorizedSystem:
             rows.append(gid[ok])
             cols.append((tj * ni + ti).ravel()[ok])
             vals.append(plane.ravel()[ok])
-        mat = sp.coo_matrix(
+        mat = coo_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(ni * ni, ni * ni),
         ).tocsc()
@@ -297,6 +309,8 @@ class FactorizedSystem:
         self.bandwidth = ni + 1  # half-bandwidth in the natural node ordering
 
     def _factorize(self):
+        from scipy.sparse.linalg import splu
+
         try:
             self._lu = splu(self.op, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                             options=dict(SymmetricMode=True))

@@ -70,23 +70,53 @@ def test_bundled_configs_parse_and_validate():
         assert cfg.grid.pml_cells == solver.GridSpec.pml_cells
 
 
-def test_cli_import_loads_only_the_pipeline_modules(tiny_config_path, tmp_path):
-    # a fresh process, as every subcommand runs: the interpolation, special-
-    # function and optimization packages load only on first use, and a whole
-    # reconstruct, contrast masks included, never loads the spatial package
-    data = str(tmp_path / "data")
-    assert cli.main(["simulate", "--config", tiny_config_path, "--out", data]) == 0
-    argv = ["reconstruct", "--config", tiny_config_path, "--out", data]
+def _scipy_loaded(statements: str) -> set:
+    """The scipy modules a fresh process holds after running `statements`."""
     code = (
         f"import sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r}); "
-        f"from defectscan import cli; assert cli.main({argv!r}) == 0; "
-        "print(' '.join(sorted(sys.modules)))"
+        f"from defectscan import cli; {statements}; "
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    loaded = set(out.stdout.split())
-    assert {"scipy.sparse", "scipy.sparse.linalg", "scipy.linalg"} <= loaded
+    return set(out.stdout.split())
+
+
+def test_cli_import_loads_only_the_pipeline_modules(tiny_config_path, tmp_path):
+    # a fresh process, as every subcommand runs.  Reading the run file and a
+    # usage error load no scipy; simulate loads the sparse LU; reconstruct
+    # only samples fields, through a sparse matrix, and never loads the LU or
+    # dense scipy.linalg.  The interpolation, spatial and optimization
+    # packages never load, and the special functions only with the Mie check
+    data = str(tmp_path / "data")
+    run = {
+        "config": f"cli.load_run_config({tiny_config_path!r})",
+        "usage": f"assert cli.main(['simulate', '--config', {tiny_config_path!r}]) == 2",
+        "simulate": f"assert cli.main(['simulate', '--config', {tiny_config_path!r}, "
+                    f"'--out', {data!r}]) == 0",
+        "reconstruct": f"assert cli.main(['reconstruct', '--config', {tiny_config_path!r}, "
+                       f"'--out', {data!r}]) == 0",
+    }
+    loaded = {name: _scipy_loaded(statements) for name, statements in run.items()}
+    assert loaded["config"] == loaded["usage"] == set()
+    assert "scipy.sparse.linalg" in loaded["simulate"]
+    assert "scipy.sparse" in loaded["reconstruct"]
+    assert not {"scipy.sparse.linalg", "scipy.linalg"} & loaded["reconstruct"]
     for heavy in ("scipy.interpolate", "scipy.spatial", "scipy.special", "scipy.optimize"):
-        assert heavy not in loaded
+        assert heavy not in loaded["simulate"] | loaded["reconstruct"]
+
+
+def test_sparse_lu_loads_before_the_medium_is_sampled(tiny_config_path):
+    # imported amid the coefficient planes, scipy's modules share the heap
+    # with them and raised a fine grid's peak RSS by 8-10 MB
+    statements = (
+        "from defectscan import media, solver; sample = media.sample_grid; seen = []; "
+        "media.sample_grid = lambda *a: seen.append('scipy.sparse.linalg' in sys.modules) "
+        "or sample(*a); "
+        f"cfg = cli.load_run_config({tiny_config_path!r}); "
+        "assert 'scipy.sparse.linalg' not in sys.modules; "
+        "solver.assemble_system(cfg.grid, cfg.media); assert seen and seen[0], seen"
+    )
+    assert "scipy.sparse.linalg" in _scipy_loaded(statements)
 
 
 def test_unknown_config_rejected():
@@ -738,6 +768,30 @@ def test_bad_direction_count_exits_2_before_any_factorization(
             assert err["error"] == "ConfigInvalid"
             assert err["message"] == "need an even number of directions, at least 8"
     assert calls == []
+
+
+@pytest.mark.parametrize("floor", [0.5, -1e-3])
+def test_bad_floor_exits_2_before_any_work(tiny_config_path, tmp_path, capsys, monkeypatch, floor):
+    # the Picard floor is checked as the run file and the flag are read, not
+    # after reconstruct has read its data and done the F# eigensolves;
+    # simulate and verify, which do not use it, reject it too
+    def no_work(*args):
+        raise AssertionError("a medium was factorized or a data file read")
+
+    monkeypatch.setattr(solver, "assemble_system", no_work)
+    monkeypatch.setattr(io, "read_ffm", no_work)
+    p = tmp_path / "floor.json"
+    p.write_text(json.dumps({**TINY_DOC, "floor_rel": floor}))
+    out = tmp_path / "out"
+    out.mkdir()
+    runs = [[command, "--config", str(p)] for command in ("simulate", "verify", "reconstruct")]
+    runs.append(["reconstruct", "--config", tiny_config_path, "--floor", str(floor)])
+    for argv in runs:
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigInvalid"
+        assert err["message"] == f"floor_rel must lie in [0, {fm.MAX_FLOOR_REL:g}]"
+    assert os.listdir(out) == []
 
 
 def test_grid_beyond_the_node_bound_is_rejected():
