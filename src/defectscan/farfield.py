@@ -81,11 +81,13 @@ def assemble_far_field_matrix(system: solver.FactorizedSystem, n_dirs: int):
     """The N plane-wave problems of a factorized medium and their far fields;
     k, the grid and the scene come from `system`.
 
-    A medium invariant under a turn by 2 pi / m (m = solver.turn_order; 2
-    when N % 4 != 0) maps incidence j to j + q, q = N / m.  So only the first
-    q directions are solved and extracted: block t of the matrix is their far
-    fields rolled by t q observations, block t of the fields theirs turned t
-    times, equal to N solves within 1e-12 relative.  Order-1 media solve all N.
+    A symmetry g = (k, s) of the medium (solver.symmetry_group) that maps
+    the direction set onto itself, (k + s) N = 0 mod 4, takes direction j to
+    sigma(j) = (-1)^s j + (k + s) N / 4 mod N and the field of j to the field
+    of sigma(j) moved by g.  So only the least direction of each orbit is
+    solved and extracted: F[sigma(i), sigma(j)] = F[i, j] fills the matrix
+    and `solver.move_planes` the fields, one copy per element, equal to N
+    solves within 1e-12 relative.  Media without symmetry solve all N.
 
     Returns (FarFieldMatrix, FieldSet): the FieldSet holds the total fields,
     which the background's test functions sample.
@@ -94,20 +96,26 @@ def assemble_far_field_matrix(system: solver.FactorizedSystem, n_dirs: int):
         raise ConfigInvalid("need an even number of directions, at least 8")
     spec, k = system.spec, system.k
     r_ff = extraction_radius(system.config, spec)
-    m = solver.turn_order(system)
-    m = 2 if n_dirs % m else m
-    q = n_dirs // m
+    group = [g for g in solver.symmetry_group(system) if sum(g) * n_dirs % 4 == 0]
+    j = np.arange(n_dirs)
+    sigma = [((-j if s else j) + (t + s) * n_dirs // 4) % n_dirs for t, s in group]
+    reps = np.unique(np.min(sigma, axis=0))  # the least direction of each orbit
     angles = direction_angles(n_dirs)
-    dirs = np.column_stack((np.cos(angles[:q]), np.sin(angles[:q])))
-    first = solver.solve_plane_wave(system, dirs)
+    dirs = np.column_stack((np.cos(angles[reps]), np.sin(angles[reps])))
+    solved = solver.solve_plane_wave(system, dirs)
     # row j of the far fields belongs to incidence j: the matrix is its transpose
-    far = solver.far_field(spec, first, k, r_ff, angles).T
-    ffm = FarFieldMatrix(k, np.concatenate([np.roll(far, t * q, axis=0) for t in range(m)], axis=1))
-    for u, d in zip(first, dirs):  # one direction at a time: no second stack
+    far = solver.far_field(spec, solved, k, r_ff, angles).T
+    for u, d in zip(solved, dirs):  # one direction at a time: no second stack
         u += solver.incident_plane_wave(spec, k, d)  # total fields
-    if m > 1:  # index [y, x]: a quarter turn of the field is rot90 by -1
-        first = np.concatenate([np.rot90(first, -t * 4 // m, axes=(1, 2)) for t in range(m)])
-    return ffm, FieldSet(spec, k, first)
+    if len(group) == 1:
+        return FarFieldMatrix(k, far), FieldSet(spec, k, solved)
+    entries = np.empty((n_dirs, n_dirs), dtype=complex)
+    fields = np.empty((n_dirs,) + solved.shape[1:], dtype=complex)
+    # the identity last, so that each solved direction keeps its own solve
+    for g, perm in reversed(list(zip(group, sigma))):
+        entries[np.ix_(perm, perm[reps])] = far
+        fields[perm[reps]] = solver.move_planes(g, solved)
+    return FarFieldMatrix(k, entries), FieldSet(spec, k, fields)
 
 
 def check_compatible(a, b):

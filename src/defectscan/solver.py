@@ -10,13 +10,14 @@ included), so each medium is factorized once by SuperLU in symmetric mode: a
 minimum-degree ordering of A + A^T, which sees only the stored pattern, and
 threshold pivoting at 0.1 that prefers the diagonal.
 That factorization solves the incident directions in blocks of BLOCK; a
-medium that a quarter or half turn about the origin leaves unchanged
-(`turn_order`) needs only N / 4 or N / 2 of them.  Far fields are
-extracted with the boundary-integral representation over a circle,
-sampling the grid fields with a tensor-product not-a-knot cubic spline built
-in numpy (uniform B-splines, so the CLI need not import scipy.interpolate);
-an angular-mode series for the isotropic penetrable disc serves as the
-analytic oracle.
+medium that some of the square's eight symmetries leave unchanged
+(`symmetry_group`) needs one direction per orbit of them, N / 8 + 1 when
+all eight do.  Far fields are extracted with the boundary-integral
+representation over a circle, sampling the grid fields with a
+tensor-product not-a-knot cubic spline built in numpy (uniform B-splines,
+so the CLI need not import scipy.interpolate) and fitted only over the
+span the points reach; an angular-mode series for the isotropic
+penetrable disc serves as the analytic oracle.
 
 Importing the module loads no scipy, so reading a run file does not pay for
 it.  Setting up a medium loads scipy.sparse.linalg, and with it scipy.linalg;
@@ -26,6 +27,7 @@ oracle loads scipy.special.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +40,7 @@ FACTOR_PROBE_TOL = 1e-10
 PIVOT_TOL = 1e-14  # 1 / the largest condition number a factorization may show
 BLOCK = 8  # directions per solve call and fields per spline fit: small transients
 SUBCELLS = 16  # subsamples per patch side in `_subcell_average`
-TURN_TOL = 1e-12  # relative tolerance of `turn_order`'s plane comparisons
+TURN_TOL = 1e-12  # relative tolerance of `symmetry_group`'s plane comparisons
 M_QUAD = 256  # trapezoidal nodes on the far-field circle
 
 
@@ -107,9 +109,11 @@ class GridSpec:
             raise ConfigInvalid(f"h {self.h:g} exceeds lambda_min/10 = {lam / 10:g}")
 
 
+@functools.lru_cache(maxsize=4)
 def _spline_fit(n: int) -> np.ndarray:
     """(n + 2, n) matrix taking data at n uniform nodes to the coefficients of
-    its not-a-knot cubic spline in the uniform cubic B-spline basis.
+    its not-a-knot cubic spline in the uniform cubic B-spline basis; cached
+    and read-only.
 
     Coefficient j weights the B-spline centred on node j - 1.  Rows: the
     third derivative is continuous at the second and second-to-last nodes
@@ -118,7 +122,9 @@ def _spline_fit(n: int) -> np.ndarray:
     m = np.zeros((n + 2, n + 2))
     m[1:-1] = (np.eye(n, n + 2) + 4 * np.eye(n, n + 2, 1) + np.eye(n, n + 2, 2)) / 6
     m[0, :5] = m[-1, -5:] = (1, -4, 6, -4, 1)
-    return np.linalg.inv(m)[:, 1:-1]
+    fit = np.linalg.inv(m)[:, 1:-1]
+    fit.flags.writeable = False
+    return fit
 
 
 def _spline_rows(c: np.ndarray, h: float, x: np.ndarray):
@@ -135,12 +141,33 @@ def _spline_rows(c: np.ndarray, h: float, x: np.ndarray):
     return span.astype(int)[:, None] + np.arange(4), weights
 
 
+def _fit_spans(n: int, ix: np.ndarray, iy: np.ndarray) -> list:
+    """The rows of `_spline_fit(n)` that the coefficient indices ix and iy
+    reach, each widened to start and end at a multiple of 8, or the whole
+    fit's rows.
+
+    BLAS computes rows in blocks of up to 8, and a row in a full block
+    rounds as it does in the whole fit, so the samples keep the whole fit's
+    bits.  The whole fit's last (n + 2) mod 8 rows, and the columns of the x
+    fit they become, may come from a tail kernel that a smaller product
+    rounds differently: points whose spans reach them, or no points, take
+    the whole fit.  A BLAS that picks another kernel for the smaller
+    product by its size alone may still move a sample by an ulp.
+    """
+    whole = [slice(0, n + 2)] * 2
+    if not ix.size:
+        return whole
+    spans = [slice(i.min() // 8 * 8, (i.max() + 8) // 8 * 8) for i in (ix, iy)]
+    return spans if all(s.stop <= (n + 2) // 8 * 8 for s in spans) else whole
+
+
 def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = False) -> list:
     """Tensor-product not-a-knot cubic splines through a stack of grid fields,
     evaluated at the points (x[p], y[p]) of the node grid.
 
-    Fits every field of `values` (..., n_nodes, n_nodes), indexed [y, x], at
-    once and returns one array (..., P) per quantity: [values], or with
+    Fits every field of `values` (..., n_nodes, n_nodes), indexed [y, x],
+    over the coefficients the points reach (`_fit_spans`), and returns one
+    array (..., P) per quantity: [values], or with
     `gradient=True` [values, d/dx, d/dy] of each field's np.gradient planes.
     Fitting and np.gradient are linear, so each is a matrix applied along
     one axis and the gradient planes are never formed.  Evaluation is a
@@ -151,7 +178,7 @@ def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = Fal
     from scipy.sparse import csr_matrix
 
     c = spec.coords()
-    n, nc = len(c), len(c) + 2  # nodes, coefficients per axis
+    n = len(c)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     values = np.ascontiguousarray(values, dtype=complex)
@@ -161,17 +188,19 @@ def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = Fal
 
     ix, wx = _spline_rows(c, spec.h, x)
     iy, wy = _spline_rows(c, spec.h, y)
-    cols = ix.reshape(p, 4, 1) * nc + iy.reshape(p, 1, 4)
+    xs, ys = _fit_spans(n, ix, iy)
+    nx, ny = xs.stop - xs.start, ys.stop - ys.start
+    cols = (ix.reshape(p, 4, 1) - xs.start) * ny + iy.reshape(p, 1, 4) - ys.start
     data = wx.reshape(p, 4, 1) * wy.reshape(p, 1, 4)
     rows = csr_matrix(
-        (data.ravel(), cols.ravel(), np.arange(0, 16 * p + 1, 16)), shape=(p, nc * nc)
+        (data.ravel(), cols.ravel(), np.arange(0, 16 * p + 1, 16)), shape=(p, nx * ny)
     )
 
     def along_y(m, z):  # [field, y, x] -> [x, (a, field)], ready for the x fit
-        return (m @ z).view(complex).transpose(2, 1, 0).copy().reshape(n, -1)
+        return (m[ys] @ z).view(complex).transpose(2, 1, 0).copy().reshape(n, -1)
 
     def evaluate(m, w):  # x fit -> coefficients [(b, a), (field, re/im)] -> samples [field, p]
-        coef = (m @ w.view(float)).reshape(nc * nc, -1)
+        coef = (m[xs] @ w.view(float)).reshape(nx * ny, -1)
         return (rows @ coef).view(complex).T
 
     dfit = fit @ np.gradient(np.eye(n), spec.h, axis=0) if gradient else None
@@ -353,26 +382,48 @@ def assemble_system(spec: GridSpec, config: media.MediaConfig) -> FactorizedSyst
     return FactorizedSystem(spec, config)
 
 
-def turn_order(system: FactorizedSystem) -> int:
-    """4 if the sampled medium is invariant under a quarter turn about the
-    origin, 2 if under a half turn only, else 1.
+def move_planes(g: tuple, planes: np.ndarray) -> np.ndarray:
+    """Planes (..., n, n), indexed [y, x] on the node grid, of fields u moved
+    by g = (k, s): k quarter turns about the origin after, if s, the
+    diagonal mirror (x, y) -> (y, x).  The moved field is u(g^-1 x)."""
+    k, s = g
+    return np.rot90(np.swapaxes(planes, -1, -2) if s else planes, -k, axes=(-2, -1))
+
+
+def symmetry_group(system: FactorizedSystem) -> tuple:
+    """The symmetries (k, s) of the square (see `move_planes`) that leave the
+    sampled medium unchanged, the identity (0, 0) first.
 
     Reads the coefficient planes the operator is built from; the node grid
-    and the PML collar are symmetric under both turns.  A quarter turn takes
-    x-faces to y-faces and a12 to -a12.  Planes count as equal within
-    TURN_TOL * max(|a|, 1): differently ordered band-patch sums differ by a
-    few ulps, while one misplaced subsample moves an average by at least
-    1 / SUBCELLS^2 of a coefficient jump.
+    and the PML collar are symmetric under all eight.  An element that swaps
+    the axes (k + s odd) takes x-faces to y-faces, and a quarter turn takes
+    a12 to -a12.  Planes count as equal within TURN_TOL * max(|a|, 1):
+    differently ordered band-patch sums differ by a few ulps, while one
+    misplaced subsample moves an average by at least 1 / SUBCELLS^2 of a
+    coefficient jump.
     """
-    fx, fy, cc, n = system._face_x, system._face_y, system._cc, system._n
+    planes = system._face_x, system._face_y, system._cc, system._n
+    tols = [TURN_TOL * np.maximum(np.abs(a), 1.0) for a in planes]
 
-    def same(a, b):
-        return bool(np.all(np.abs(a - b) <= TURN_TOL * np.maximum(np.abs(a), 1.0)))
+    def fixes(k, s):
+        fx, fy, cc, n = planes
+        moved = (fy, fx) if (k + s) % 2 else (fx, fy)
+        moved += ((-1) ** k * cc, n)
+        return all(np.all(np.abs(a - move_planes((k, s), b)) <= tol)
+                   for a, b, tol in zip(planes, moved, tols))
 
-    if not all(same(a, a[::-1, ::-1]) for a in (fx, fy, cc, n)):
-        return 1
-    quarter = same(np.rot90(fx), fy) and same(np.rot90(cc), -cc) and same(np.rot90(n), n)
-    return 4 if quarter else 2
+    # an element that the products of those found so far give needs no check:
+    # M R M = R^-1, so R^a M^b R^c M^d = R^(a -+ c) M^(b + d)
+    group = {(0, 0)}
+    for g in ((1, 0), (0, 1), (2, 0), (1, 1), (2, 1), (3, 1), (3, 0)):
+        if g not in group and fixes(*g):
+            group.add(g)
+            while True:
+                grown = {((a + (-1) ** b * c) % 4, b ^ d) for a, b in group for c, d in group}
+                if grown == group:
+                    break
+                group = grown
+    return tuple(sorted(group, key=lambda g: (g[1], g[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -92,26 +92,39 @@ def _tiny_scene(host_a, centers, defect_a=media.SymTensor2(1.0, 0.0, 1.0)):
     return media.MediaConfig(host, defects, K)
 
 
-# a quarter turn swaps a11 and a22 and flips the sign of a12
+# a quarter turn swaps a11 and a22 and flips the sign of a12; the diagonal
+# mirror swaps them and keeps a12
 ISOTROPIC, STRETCHED = media.SymTensor2(0.5, 0.0, 0.5), media.SymTensor2(0.6, 0.0, 0.75)
 SHEARED = media.SymTensor2(0.6, 0.15, 0.6)
-# scene, direction count, turn order, directions solved
+ALL_EIGHT = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1))
+AXIS_MIRRORS = ((0, 0), (2, 0), (1, 1), (3, 1))  # the half turn, x -> -x and y -> -y
+DIAGONAL_MIRRORS = ((0, 0), (2, 0), (0, 1), (2, 1))
+DIAGONAL, X_MIRROR = ((0, 0), (0, 1)), ((0, 0), (1, 1))  # (x, y) -> (y, x), x -> -x
+# scene, direction count, symmetry group, directions solved (one per orbit)
 TURNED_CASES = {
-    "quarter turn": (_tiny_scene(ISOTROPIC, [(0.0, 0.0)]), 8, 4, 2),
-    "half turn, a11 != a22": (_tiny_scene(STRETCHED, [(0.0, 0.0)]), 8, 2, 4),
-    "half turn, a12 != 0": (_tiny_scene(SHEARED, [(0.0, 0.0)]), 8, 2, 4),
-    "half turn, swapped defects": (_tiny_scene(ISOTROPIC, [(-0.4, 0.3), (0.4, -0.3)]), 8, 2, 4),
+    "quarter turn": (_tiny_scene(ISOTROPIC, [(0.0, 0.0)]), 8, ALL_EIGHT, 2),
+    "half turn, a11 != a22": (_tiny_scene(STRETCHED, [(0.0, 0.0)]), 8, AXIS_MIRRORS, 3),
+    # a host with a11 = a22 and a12 != 0: the diagonal mirrors, no quarter turn
+    "half turn, a12 != 0": (_tiny_scene(SHEARED, [(0.0, 0.0)]), 8, DIAGONAL_MIRRORS, 3),
+    "half turn, swapped defects": (
+        _tiny_scene(ISOTROPIC, [(-0.4, 0.3), (0.4, -0.3)]), 8, ((0, 0), (2, 0)), 4),
     "half turn, swapped defects in n only": (
-        _tiny_scene(ISOTROPIC, [(-0.4, 0.3), (0.4, -0.3)], ISOTROPIC), 8, 2, 4),
-    "quarter turn, N % 4 = 2": (_tiny_scene(ISOTROPIC, [(0.0, 0.0)]), 10, 4, 5),
+        _tiny_scene(ISOTROPIC, [(-0.4, 0.3), (0.4, -0.3)], ISOTROPIC), 8, ((0, 0), (2, 0)), 4),
+    # the diagonal mirrors map the ten directions off themselves
+    "quarter turn, N % 4 = 2": (_tiny_scene(ISOTROPIC, [(0.0, 0.0)]), 10, ALL_EIGHT, 3),
+    "diagonal mirror only": (_tiny_scene(ISOTROPIC, [(0.4, 0.4)]), 8, DIAGONAL, 5),
+    "diagonal mirror only, a12 != 0": (_tiny_scene(SHEARED, [(0.4, 0.4)]), 8, DIAGONAL, 5),
+    "diagonal mirror only, N % 4 = 2": (_tiny_scene(ISOTROPIC, [(0.4, 0.4)]), 10, DIAGONAL, 10),
+    "x-mirror only": (_tiny_scene(ISOTROPIC, [(0.0, 0.4)]), 8, X_MIRROR, 5),
+    "x-mirror only, N % 4 = 2": (_tiny_scene(ISOTROPIC, [(0.0, 0.4)]), 10, X_MIRROR, 5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TURNED_CASES))
 def test_turned_blocks_match_n_solves(monkeypatch, case):
-    config, n, order, solved = TURNED_CASES[case]
+    config, n, group, solved = TURNED_CASES[case]
     system = solver.assemble_system(solver.GridSpec(2.0, 0.125, 8), config)
-    assert solver.turn_order(system) == order
+    assert solver.symmetry_group(system) == group
     counts, solve = [], solver.solve_plane_wave
 
     def counted(system, d):
@@ -120,7 +133,7 @@ def test_turned_blocks_match_n_solves(monkeypatch, case):
 
     monkeypatch.setattr(solver, "solve_plane_wave", counted)
     f, fields = farfield.assemble_far_field_matrix(system, n)
-    monkeypatch.setattr(solver, "turn_order", lambda system: 1)
+    monkeypatch.setattr(solver, "symmetry_group", lambda system: ((0, 0),))
     want_f, want_fields = farfield.assemble_far_field_matrix(system, n)
     assert counts == [solved, n]
     assert np.abs(f.entries - want_f.entries).max() <= 1e-12 * np.abs(want_f.entries).max()

@@ -467,7 +467,7 @@ def _pipeline(scene):
 
 @pytest.fixture(scope="module")
 def unmoved_pipeline():
-    assert solver.turn_order(solver.assemble_system(SYMMETRY_GRID, SHEARED_ELLIPSE)) == 1
+    assert solver.symmetry_group(solver.assemble_system(SYMMETRY_GRID, SHEARED_ELLIPSE)) == ((0, 0),)
     return _pipeline(SHEARED_ELLIPSE)
 
 

@@ -356,35 +356,60 @@ def test_narrow_band_property(host, host_a, defects, h, seed):
                 np.testing.assert_allclose(got, w, rtol=16 * np.finfo(float).eps, atol=0)
 
 
-# the turn order of each preset's scene and background: the example1 hosts
-# are isotropic, the example2/3 hosts anisotropic (a12 != 0, a11 != a22)
-TURN_ORDERS = {
-    ("example1_circle", "scene"): 4,
-    ("example1_ellipse", "scene"): 1,
-    ("example1_twodiscs", "scene"): 2,  # a half turn swaps the discs
-    ("example3_aniso_defects", "scene"): 1,
-    **{(name, "background"): 4 for name in (
+# the symmetry group of each preset's scene and background, as (k, s): k
+# quarter turns after, if s, the diagonal mirror.  The example1 hosts are
+# isotropic, the example2/3 hosts anisotropic (a12 != 0, a11 != a22)
+ALL_EIGHT = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (3, 1))
+HALF_TURN = ((0, 0), (2, 0))
+SYMMETRY_GROUPS = {
+    ("example1_circle", "scene"): ALL_EIGHT,
+    ("example1_ellipse", "scene"): ((0, 0),),
+    ("example1_square", "scene"): ALL_EIGHT,
+    # the discs lie on the anti-diagonal: a half turn or either diagonal
+    # mirror swaps them
+    ("example1_twodiscs", "scene"): ((0, 0), (2, 0), (0, 1), (2, 1)),
+    ("example2_aniso_host", "scene"): HALF_TURN,
+    ("example3_aniso_defects", "scene"): ((0, 0),),
+    **{(name, "background"): ALL_EIGHT for name in (
         "example1_circle", "example1_ellipse", "example1_square", "example1_twodiscs")},
-    ("example2_aniso_host", "background"): 2,
-    ("example3_aniso_defects", "background"): 2,
+    ("example2_aniso_host", "background"): HALF_TURN,
+    ("example3_aniso_defects", "background"): HALF_TURN,
 }
 
 
-@pytest.mark.parametrize("name, medium", sorted(TURN_ORDERS))
+@pytest.mark.parametrize("name, medium", sorted(SYMMETRY_GROUPS))
 def test_turn_order_of_presets(name, medium):
+    # the group, and in it the turns: 4 for the example1 backgrounds
     cfg = cli.load_run_config(name)
     config = cfg.media.background() if medium == "background" else cfg.media
-    system = solver.assemble_system(cfg.grid, config)
-    assert solver.turn_order(system) == TURN_ORDERS[name, medium]
+    group = solver.symmetry_group(solver.assemble_system(cfg.grid, config))
+    assert group == SYMMETRY_GROUPS[name, medium]
+    assert sum(s == 0 for _, s in group) in (1, 2, 4)
 
 
 def test_turn_order_of_a_host_off_the_origin():
-    # an h / 3 shift moves a host edge off the node lattice's mirror image
+    # an h / 3 shift along x moves a host edge off the node lattice's mirror
+    # image: no turn, and of the mirrors only y -> -y, three quarter turns
+    # after the diagonal one
     cfg = cli.load_run_config("example1_circle")
     h = cfg.grid.h
     host = dataclasses.replace(cfg.media.host, shape=media.Rectangle(-2 + h / 3, 2 + h / 3, -2, 2))
     system = solver.assemble_system(cfg.grid, dataclasses.replace(cfg.media, host=host, defects=()))
-    assert solver.turn_order(system) == 1
+    assert solver.symmetry_group(system) == ((0, 0), (3, 1))
+
+
+def test_moved_planes_are_the_fields_at_the_moved_points(rng):
+    # move_planes(g, u) at g x equals u at x, on the node grid's indices
+    c = solver.GridSpec(1.5, 0.125).coords()
+    u = rng.standard_normal((len(c), len(c)))
+    iy, ix = np.indices(u.shape)
+    x, y = c[ix], c[iy]
+    for k, s in ALL_EIGHT:
+        px, py = (y, x) if s else (x, y)
+        for _ in range(k):
+            px, py = -py, px  # a quarter turn, counterclockwise
+        jx, jy = (np.rint((p - c[0]) / 0.125).astype(int) for p in (px, py))
+        np.testing.assert_array_equal(solver.move_planes((k, s), u)[jy, jx], u)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +557,9 @@ def test_grid_sampler_matches_per_field_splines(tiny_grid, rng):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(plane).max()
 
 
-def _complex_sampler(spec, values, x, y, gradient):
-    # sample_fields with the design matrix applied to complex coefficients
+def _full_fit_sampler(spec, values, x, y, gradient):
+    # sample_fields as it was before it fitted only the sampled span: every
+    # coefficient fitted, the design matrix applied to complex coefficients
     c = spec.coords()
     n, nc, p = len(c), len(c) + 2, len(x)
     zr = values.reshape(-1, n, n).view(float)
@@ -576,10 +602,56 @@ def test_sampler_real_evaluation_equals_complex_bit_for_bit(tiny_grid, rng, grad
     x = np.concatenate([c[[0, -1]], rng.uniform(c[0], c[-1], 60)])
     y = np.concatenate([c[[-1, 0]], rng.uniform(c[0], c[-1], 60)])
     got = solver.sample_fields(spec, fields, x, y, gradient=gradient)
-    want = _complex_sampler(spec, fields, x, y, gradient)
+    want = _full_fit_sampler(spec, fields, x, y, gradient)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+# example1's preset grid, 77^2 nodes; sample points that reach only part of it
+SPAN_GRID = solver.GridSpec(4.5, 0.15)
+_C, _H = SPAN_GRID.coords(), SPAN_GRID.h
+_PHI = 2 * np.pi * np.arange(solver.M_QUAD) / solver.M_QUAD
+_WINDOW = np.meshgrid(np.linspace(-2.0, 2.0, 81), np.linspace(-2.0, 2.0, 81))
+SPAN_POINTS = {
+    "far-field circle": (3.3 * np.cos(_PHI), 3.3 * np.sin(_PHI)),
+    "81^2 lattice window": (_WINDOW[0].ravel(), _WINDOW[1].ravel()),
+    "one point": ([0.3], [-0.7]),
+    # spans that reach coefficient 0 and coefficient n + 1
+    "first spans": (_C[0] + _H * np.array([0, 0.5, 1.5]), _C[0] + _H * np.array([0.25, 0, 1])),
+    "last spans": (_C[-1] - _H * np.array([0, 0.5, 1.5]), _C[-1] - _H * np.array([0.25, 0, 1])),
+    "first and last spans": ([_C[0], _C[-1]], [_C[-1] - 0.5 * _H, _C[0] + 0.5 * _H]),
+}
+
+
+@pytest.mark.parametrize("gradient", [False, True])
+@pytest.mark.parametrize("case", sorted(SPAN_POINTS))
+def test_span_fit_samples_equal_the_full_fit_bit_for_bit(rng, case, gradient):
+    nn, m = SPAN_GRID.n_nodes, 2 * solver.BLOCK + 3  # fields in three blocks
+    fields = rng.standard_normal((m, nn, nn)) + 1j * rng.standard_normal((m, nn, nn))
+    x, y = (np.asarray(v, dtype=float) for v in SPAN_POINTS[case])
+    got = solver.sample_fields(SPAN_GRID, fields, x, y, gradient=gradient)
+    want = _full_fit_sampler(SPAN_GRID, fields, x, y, gradient)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+def test_sampler_with_no_points_returns_empty_arrays(tiny_grid, rng):
+    nn = tiny_grid.n_nodes
+    fields = rng.standard_normal((2, 3, nn, nn)) + 0j
+    for gradient in (False, True):
+        got = solver.sample_fields(tiny_grid, fields, [], [], gradient=gradient)
+        assert len(got) == (3 if gradient else 1)
+        for g in got:
+            assert g.shape == (2, 3, 0) and g.dtype == complex
+
+
+def test_spline_fit_is_shared_and_read_only():
+    fit = solver._spline_fit(17)
+    assert solver._spline_fit(17) is fit
+    with pytest.raises(ValueError, match="read-only"):
+        fit[0, 0] = 1.0
 
 
 @settings(max_examples=40, deadline=None)
