@@ -3,12 +3,14 @@
 Discretizes the divergence-form operator div(A grad u) + k^2 n u on a uniform
 node grid with a flux-form 9-point stencil (face-averaged tensors, mixed terms
 by rotated differences over cell-centered a12) and a quadratic complex-stretch
-PML collar.  The operator stores only its nonzero entries: 5 per node where
-the four cells around a node have a12 = 0 (every isotropic region and the
-whole collar), up to 9 elsewhere.  It is complex symmetric (A = A^T, collar
-included), so each medium is factorized once by SuperLU in symmetric mode: a
-minimum-degree ordering of A + A^T, which sees only the stored pattern, and
-threshold pivoting at 0.1 that prefers the diagonal.
+PML collar, its coefficients sampled once per medium as integer tile counts.
+The operator stores only its nonzero entries: 5 per node where the four cells
+around a node have a12 = 0 (every isotropic region and the whole collar), up
+to 9 elsewhere.  It is complex symmetric (A = A^T bit for bit, collar
+included), so its rows are written as its CSC columns, and each medium is
+factorized once by SuperLU in symmetric mode: a minimum-degree ordering of
+A + A^T, which sees only the stored pattern, and threshold pivoting at 0.1
+that prefers the diagonal.
 That factorization solves the incident directions in blocks of BLOCK; a
 medium that some of the square's eight symmetries leave unchanged
 (`symmetry_group`) needs one direction per orbit of them, N / 8 + 1 when
@@ -39,8 +41,7 @@ from .errors import ConfigInvalid, ModeSystemSingular, SingularSystem
 FACTOR_PROBE_TOL = 1e-10
 PIVOT_TOL = 1e-14  # 1 / the largest condition number a factorization may show
 BLOCK = 8  # directions per solve call and fields per spline fit: small transients
-SUBCELLS = 16  # subsamples per patch side in `_subcell_average`
-TURN_TOL = 1e-12  # relative tolerance of `symmetry_group`'s plane comparisons
+SUBCELLS = 16  # subsamples per node-patch side in `_sample_coefficients`, 8 per tile
 M_QUAD = 256  # trapezoidal nodes on the far-field circle
 
 
@@ -226,29 +227,47 @@ def _stretch(coords, L, T, k, strength):
     return 1.0 + 1j * sigma / k
 
 
-def _subcell_average(config, xs, ys, h, column):
-    """Column `column` of `media.coefficient_table` averaged over h x h patches on a grid.
+def _sample_coefficients(config, c, h):
+    """Subcell-averaged planes of the node grid c, indexed [y, x]: a11 on
+    x-faces, a22 on y-faces, a12 on cell centres and n on nodes.
 
     Volume-fraction averaging smears the staircase error of piecewise-constant
-    media over material interfaces; away from interfaces it is exact.  The
-    SUBCELLS x SUBCELLS subsamples of a patch lie within 15 sqrt(2) h / 32 of its centre,
-    so a patch whose centre is more than h / sqrt(2) from every material
-    boundary is uniform and takes its centre value.  Only the narrow band of
-    the remaining patches is subsampled, so the cost grows with perimeter / h
-    rather than area / h^2.  Returns an array of shape (len(ys), len(xs)).
+    media over material interfaces; away from interfaces it is exact.  Each
+    region's subsamples are counted as integers in h/2 x h/2 tiles, SUBCELLS^2
+    / 4 per tile; a node, face or cell patch is the four tiles it covers, and
+    its value is sum_r count_r * coefficient_table[r] / SUBCELLS^2.  The
+    subsamples of a node's h x h patch lie within 15 sqrt(2) h / 32 of it, so
+    a patch whose node is more than h / sqrt(2) from every material boundary
+    is uniform.  Only the narrow band of the others is subsampled, so the cost
+    grows with perimeter / h rather than area / h^2.
     """
-    xs, ys = np.asarray(xs, float), np.asarray(ys, float)
-    table = media.coefficient_table(config)[:, column]
-    out = table[media.sample_grid(config, xs, ys)]
+    table = media.coefficient_table(config)
+    n, nr, half = len(c), len(table), SUBCELLS // 2
+    # allocated before the band's transients, the planes sit below the hole
+    # those leave on the heap and do not split it (fine_grid's peak RSS fell 3 MB)
+    planes = [np.empty((n - fy, n - fx), complex) for fy, fx in ((0, 1), (1, 0), (1, 1), (0, 0))]
+    # counts[r, y, ty, x, tx]: subsamples of region r in tile (ty, tx) of node patch (y, x)
+    counts = np.empty((nr, n, 2, n, 2), dtype=np.int16)
+    region = np.equal.outer(np.arange(nr), media.sample_grid(config, c, c))
+    counts[...] = region[:, :, None, :, None] * half**2
     shapes = [config.host.shape] + [d.shape for d in config.defects]
-    pts = np.stack(np.meshgrid(xs, ys), axis=-1)
+    pts = np.stack(np.meshgrid(c, c), axis=-1)
     near = np.min([s.boundary_distance(pts) for s in shapes], axis=0) <= h / math.sqrt(2)
     iy, ix = np.nonzero(near)
     offs = h * ((np.arange(SUBCELLS) + 0.5) / SUBCELLS - 0.5)
-    sub = table[media.sample_grid(config, xs[ix, None] + offs, ys[iy, None] + offs)]
-    # x offsets summed first, then y offsets in sequence (cumsum keeps the order)
-    out[iy, ix] = sub.sum(axis=2).cumsum(axis=1)[:, -1] / (SUBCELLS * SUBCELLS)
-    return out
+    sub = media.sample_grid(config, c[ix, None] + offs, c[iy, None] + offs)  # [patch, y, x]
+    tile = np.arange(SUBCELLS) // half
+    label = ((np.arange(len(iy))[:, None, None] * nr + sub) * 2 + tile[:, None]) * 2 + tile
+    tally = np.bincount(label.ravel(), minlength=4 * nr * len(iy))
+    counts[:, iy, :, ix] = tally.reshape(-1, nr, 2, 2)
+
+    # tiles (2i, 2i + 1) along an axis make node patch i, (2i + 1, 2i + 2) face i
+    counts = counts.reshape(nr, 2 * n, 2 * n)
+    rows = [counts[:, f:2 * n - f:2] + counts[:, f + 1:2 * n - f:2] for f in (0, 1)]
+    for plane, (fy, fx, column) in zip(planes, ((0, 1, 0), (1, 0, 2), (1, 1, 1), (0, 0, 3))):
+        cnt = rows[fy][..., fx:2 * n - fx:2] + rows[fy][..., fx + 1:2 * n - fx:2]
+        plane[...] = sum(k * v for k, v in zip(cnt, table[:, column])) / SUBCELLS**2
+    return planes
 
 
 class FactorizedSystem:
@@ -266,19 +285,14 @@ class FactorizedSystem:
 
         self._coords = c = spec.coords()
         h, k = spec.h, self.k
-        cf = c[:-1] + h / 2  # face / cell-center coordinates
 
-        # subcell-averaged coefficients at x-faces, y-faces, cell centers and
-        # nodes; the same arrays drive both the operator and the contrast RHS
-        self._face_x = _subcell_average(config, cf, c, h, 0)   # a11
-        self._face_y = _subcell_average(config, c, cf, h, 2)   # a22
-        self._cc = _subcell_average(config, cf, cf, h, 1)      # a12
-        self._n = _subcell_average(config, c, c, h, 3)
+        # the same planes drive both the operator and the contrast RHS
+        self._face_x, self._face_y, self._cc, self._n = _sample_coefficients(config, c, h)
 
         strength = spec.resolved_strength(k)
         L, T = spec.half_extent, spec.pml_width
         s = _stretch(c, L, T, k, strength)
-        sf = _stretch(cf, L, T, k, strength)
+        sf = _stretch(c[:-1] + h / 2, L, T, k, strength)  # at faces / cell centers
 
         # stretched face/mass coefficients; a12 is zero inside the collar so
         # the cross term needs no stretching
@@ -293,48 +307,34 @@ class FactorizedSystem:
     # -- matrix construction -------------------------------------------------
 
     def _assemble(self, fx, fy, cc, mass, h):
-        from scipy.sparse import coo_matrix
+        from scipy.sparse import csc_matrix
 
-        nn = self.spec.n_nodes
-        ni = nn - 2  # interior nodes per axis (outer ring is Dirichlet zero)
+        ni = self.spec.n_nodes - 2  # interior nodes per axis (outer ring is Dirichlet zero)
         self.n_interior = ni
         inv_h2 = 1.0 / (h * h)
 
         # coefficient planes on interior nodes (full-grid indices 1..nn-2)
-        east = fx[1:-1, 1:] * inv_h2
-        west = fx[1:-1, :-1] * inv_h2
-        north = fy[1:, 1:-1] * inv_h2
-        south = fy[:-1, 1:-1] * inv_h2
+        east, west = fx[1:-1, 1:] * inv_h2, fx[1:-1, :-1] * inv_h2
+        north, south = fy[1:, 1:-1] * inv_h2, fy[:-1, 1:-1] * inv_h2
         half = 0.5 * inv_h2
-        ne = cc[1:, 1:] * half
-        sw = cc[:-1, :-1] * half
-        se = -cc[:-1, 1:] * half
-        nw = -cc[1:, :-1] * half
+        ne, sw = cc[1:, 1:] * half, cc[:-1, :-1] * half
+        se, nw = -cc[:-1, 1:] * half, -cc[1:, :-1] * half
         center = mass[1:-1, 1:-1] - (east + west + north + south) - (ne + sw + se + nw)
+        # entry (j, i, 3 (dj + 1) + di + 1) couples interior node (j, i) to node
+        # (j + dj, i + di): row j * ni + i, its columns ascending, and as A = A^T
+        # bit for bit, also that node's CSC column
+        stack = np.stack([sw, south, se, west, center, east, nw, north, ne], axis=-1)
+        # neighbours on the Dirichlet ring are not unknowns
+        stack[0, :, :3] = stack[-1, :, 6:] = stack[:, 0, ::3] = stack[:, -1, 2::3] = 0
 
-        jj, ii = np.meshgrid(np.arange(ni), np.arange(ni), indexing="ij")
-        gid = (jj * ni + ii).ravel()
-
-        rows, cols, vals = [gid], [gid], [center.ravel()]
-        offsets = {
-            (0, 1): east, (0, -1): west, (1, 0): north, (-1, 0): south,
-            (1, 1): ne, (-1, -1): sw, (-1, 1): se, (1, -1): nw,
-        }
-        for (dj, di), plane in offsets.items():
-            tj, ti = jj + dj, ii + di
-            ok = ((tj >= 0) & (tj < ni) & (ti >= 0) & (ti < ni)).ravel()
-            rows.append(gid[ok])
-            cols.append((tj * ni + ti).ravel()[ok])
-            vals.append(plane.ravel()[ok])
-        mat = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(ni * ni, ni * ni),
-        ).tocsc()
         # SuperLU orders and fills every stored entry, zero or not: keep the
         # mixed-term entries only where a12 != 0.  A zero diagonal would go
         # too, but the pivoting treats it as it would a stored zero
-        mat.eliminate_zeros()
-        self.op = mat
+        keep = stack != 0
+        neighbours = (np.arange(-1, 2)[:, None] * ni + np.arange(-1, 2)).ravel()
+        indices = (np.arange(ni * ni).reshape(ni, ni, 1) + neighbours)[keep]
+        indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=-1), axis=None)))
+        self.op = csc_matrix((stack[keep], indices, indptr), shape=(ni * ni, ni * ni))
         self.bandwidth = ni + 1  # half-bandwidth in the natural node ordering
 
     def _factorize(self):
@@ -397,20 +397,18 @@ def symmetry_group(system: FactorizedSystem) -> tuple:
     Reads the coefficient planes the operator is built from; the node grid
     and the PML collar are symmetric under all eight.  An element that swaps
     the axes (k + s odd) takes x-faces to y-faces, and a quarter turn takes
-    a12 to -a12.  Planes count as equal within TURN_TOL * max(|a|, 1):
-    differently ordered band-patch sums differ by a few ulps, while one
-    misplaced subsample moves an average by at least 1 / SUBCELLS^2 of a
-    coefficient jump.
+    a12 to -a12.  Planes must be equal bit for bit: each is formed from
+    integer subsample counts in one fixed order, so a moved medium moves its
+    planes exactly, while one misplaced subsample moves an average by at
+    least 1 / SUBCELLS^2 of a coefficient jump.
     """
     planes = system._face_x, system._face_y, system._cc, system._n
-    tols = [TURN_TOL * np.maximum(np.abs(a), 1.0) for a in planes]
 
     def fixes(k, s):
         fx, fy, cc, n = planes
         moved = (fy, fx) if (k + s) % 2 else (fx, fy)
         moved += ((-1) ** k * cc, n)
-        return all(np.all(np.abs(a - move_planes((k, s), b)) <= tol)
-                   for a, b, tol in zip(planes, moved, tols))
+        return all(np.array_equal(a, move_planes((k, s), b)) for a, b in zip(planes, moved))
 
     # an element that the products of those found so far give needs no check:
     # M R M = R^-1, so R^a M^b R^c M^d = R^(a -+ c) M^(b + d)

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RectBivariateSpline, make_interp_spline
 from scipy.sparse.linalg import splu, spsolve
@@ -181,6 +182,69 @@ def test_whole_operator_is_complex_symmetric():
             assert abs(op - op.T).max() == 0.0
 
 
+def _coo_operator(ni, fx, fy, cc, mass, h):
+    """Reference: the operator of the stretched coefficient planes assembled
+    as COO triplets, converted to CSC, with its stored zeros eliminated."""
+    inv_h2, half = 1.0 / (h * h), 0.5 / (h * h)
+    east, west = fx[1:-1, 1:] * inv_h2, fx[1:-1, :-1] * inv_h2
+    north, south = fy[1:, 1:-1] * inv_h2, fy[:-1, 1:-1] * inv_h2
+    ne, sw = cc[1:, 1:] * half, cc[:-1, :-1] * half
+    se, nw = -cc[:-1, 1:] * half, -cc[1:, :-1] * half
+    center = mass[1:-1, 1:-1] - (east + west + north + south) - (ne + sw + se + nw)
+    jj, ii = np.meshgrid(np.arange(ni), np.arange(ni), indexing="ij")
+    gid = (jj * ni + ii).ravel()
+    rows, cols, vals = [gid], [gid], [center.ravel()]
+    offsets = {
+        (0, 1): east, (0, -1): west, (1, 0): north, (-1, 0): south,
+        (1, 1): ne, (-1, -1): sw, (-1, 1): se, (1, -1): nw,
+    }
+    for (dj, di), plane in offsets.items():
+        tj, ti = jj + dj, ii + di
+        ok = ((tj >= 0) & (tj < ni) & (ti >= 0) & (ti < ni)).ravel()
+        rows.append(gid[ok])
+        cols.append((tj * ni + ti).ravel()[ok])
+        vals.append(plane.ravel()[ok])
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(ni * ni,) * 2,
+    ).tocsc()
+    mat.eliminate_zeros()
+    return mat
+
+
+@pytest.mark.parametrize("name", cli.bundled_config_names())
+def test_operator_equals_the_coo_assembly(name, monkeypatch):
+    # the CSC arrays are written from row-major neighbour lists, which are
+    # the columns only because the operator equals its transpose bit for bit
+    planes = []
+    assemble = solver.FactorizedSystem._assemble
+    monkeypatch.setattr(solver.FactorizedSystem, "_assemble",
+                        lambda self, *a: planes.append(a) or assemble(self, *a))
+    cfg = cli.load_run_config(name)
+    for medium in (cfg.media, cfg.media.background()):
+        system = solver.assemble_system(cfg.grid, medium)
+        op, want = system.op, _coo_operator(system.n_interior, *planes[-1])
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(op, attr), getattr(want, attr))
+        assert op.has_sorted_indices
+        assert (op != op.T).nnz == 0
+        assert np.count_nonzero(op.data) == op.nnz
+
+
+def test_fine_grid_setup_memory():
+    # traced (numpy and Python) peak of setting up one medium of fine_grid's
+    # config, example1_circle at h = 0.075: 17,329,179 B with four sampling
+    # passes and a COO assembly, 10,285,864 B with one pass written into CSC
+    cfg = cli.load_run_config("example1_circle")
+    spec = dataclasses.replace(cfg.grid, h=0.075)
+    tracemalloc.start()
+    try:
+        solver.FactorizedSystem(spec, cfg.media)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 17_329_179
+
+
 def test_symmetric_mode_fill_and_solution(tiny_cfg, tiny_grid, rng):
     # minimum degree on A + A^T stores less of L + U than scipy's default
     # COLAMD ordering (38,530 against 70,560 entries here) and solves the same
@@ -281,9 +345,10 @@ def _full_lattice_average(config, xs, ys, h, ns=16):
 
 
 def _families(c, h):
-    """(xs, ys) of the x-face, y-face, cell-centre and node patch families."""
+    """(xs, ys, coefficient_table column) of the patch families in the order
+    `_sample_coefficients` returns them: x-faces, y-faces, cell centres, nodes."""
     cf = c[:-1] + h / 2
-    return ((cf, c), (c, cf), (cf, cf), (c, c))
+    return ((cf, c, 0), (c, cf, 2), (cf, cf, 1), (c, c, 3))
 
 
 def _uniform_scene():
@@ -294,17 +359,30 @@ def _uniform_scene():
 
 @pytest.mark.parametrize("name", cli.bundled_config_names() + ["uniform"])
 def test_narrow_band_matches_full_lattice(name):
+    # the tile counts add the same subsamples in another order: the worst
+    # case here is 9.96e-16
     if name == "uniform":
         config, spec = _uniform_scene()
     else:
         cfg = cli.load_run_config(name)
         config, spec = cfg.media, cfg.grid
+    c = spec.coords()
     for medium in (config, config.background()):
-        for xs, ys in _families(spec.coords(), spec.h):
-            want = _full_lattice_average(medium, xs, ys, spec.h)
-            for column, w in enumerate(want):
-                got = solver._subcell_average(medium, xs, ys, spec.h, column)
-                assert np.max(np.abs(got - w)) <= 1e-15
+        planes = solver._sample_coefficients(medium, c, spec.h)
+        for (xs, ys, column), got in zip(_families(c, spec.h), planes):
+            want = _full_lattice_average(medium, xs, ys, spec.h)[column]
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_one_medium_samples_its_shapes_twice(monkeypatch, tiny_cfg, tiny_grid):
+    # once at the node centres and once in the narrow band, for all four planes
+    calls = []
+    sample = media.sample_grid
+    monkeypatch.setattr(media, "sample_grid", lambda *a: calls.append(a) or sample(*a))
+    for medium in (tiny_cfg, tiny_cfg.background()):
+        calls.clear()
+        solver.FactorizedSystem(tiny_grid, medium)
+        assert len(calls) == 2
 
 
 coords = st.floats(-1.0, 1.0)
@@ -328,6 +406,11 @@ tensors = st.builds(media.SymTensor2, entries, st.floats(-0.5, 0.5), entries)
     defects=st.lists(st.tuples(shapes, tensors, entries), max_size=2),
     h=st.sampled_from([0.1, 0.2, 0.35]), seed=st.integers(0, 2**32 - 1),
 )
+@example(  # the a12 values cancel in two cell-centre patches
+    host=media.Ellipse((0.0, 0.0), 1.0, 1.0), host_a=media.SymTensor2(1.0, 0.08198845241121655, 1.0),
+    defects=[(media.Ellipse((0.0, 0.25), 0.75, 0.75), media.SymTensor2(1.0, -0.5, 1.0), 1.0)],
+    h=0.1, seed=0,
+)
 def test_narrow_band_property(host, host_a, defects, h, seed):
     rng = np.random.default_rng(seed)
     # boundary_distance is a lower bound: no point closer than it to p lies
@@ -346,14 +429,19 @@ def test_narrow_band_property(host, host_a, defects, h, seed):
         tuple(media.Defect(s, a, complex(n, 0.1)) for s, a, n in defects), K,
     )
     c = np.arange(-1.5, 1.5 + h / 2, h)
+    eps = np.finfo(float).eps
     for medium in (config, config.background()):
-        for xs, ys in _families(c, h):
-            want = _full_lattice_average(medium, xs, ys, h)
-            for column, w in enumerate(want):
-                got = solver._subcell_average(medium, xs, ys, h, column)
-                # band patches repeat the reference's arithmetic; a uniform
-                # patch's reference sum of 256 equal terms rounds up to ~8 ulp
-                np.testing.assert_allclose(got, w, rtol=16 * np.finfo(float).eps, atol=0)
+        planes = solver._sample_coefficients(medium, c, h)
+        scale = np.abs(media.coefficient_table(medium)).max(axis=0)
+        for (xs, ys, column), got in zip(_families(c, h), planes):
+            want = _full_lattice_average(medium, xs, ys, h)[column]
+            # the reference adds 256 terms, and a uniform patch's sum rounds up
+            # to ~8 ulp; the tile counts add one product per region.  Where
+            # regions' values cancel, both round on the scale of the terms:
+            # a12 = 0.082 and -0.5 average to 1.46e-4, and the reference is
+            # 53 eps of that from the exact average, so the sums differ by
+            # eps times the largest term, not by eps times the average
+            np.testing.assert_allclose(got, want, rtol=16 * eps, atol=16 * eps * scale[column])
 
 
 # the symmetry group of each preset's scene and background, as (k, s): k
