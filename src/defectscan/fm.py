@@ -114,7 +114,8 @@ def test_functions(
     gives the test functions phi_z.
 
     Sampling is linear, so the K fields sum_j a[i, j] gamma u_b(., -x_hat_j)
-    are combined on the grid first and only they are sampled.
+    are combined on the grid first, `solver.BLOCK` at a time, and only
+    they are sampled.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(config.host.shape.contains(points)):
@@ -124,8 +125,7 @@ def test_functions(
         raise DimensionMismatch("field set and the test-function matrix disagree in N")
     # g_z[j] is the field of direction (j + N/2) mod N: roll a's columns the other way
     b = solver.gamma2(fields.k) * np.roll(a, n // 2, axis=1)
-    combined = (b @ fields.data.reshape(n, -1)).reshape((len(a),) + fields.data.shape[1:])
-    (u,) = solver.sample_fields(fields.spec, combined, points[:, 0], points[:, 1])
+    (u,) = solver.sample_fields(fields.spec, fields.data, points[:, 0], points[:, 1], weights=b)
     return u.T
 
 

@@ -233,7 +233,7 @@ def test_operator_equals_the_coo_assembly(name, monkeypatch):
 def test_fine_grid_setup_memory():
     # traced (numpy and Python) peak of setting up one medium of fine_grid's
     # config, example1_circle at h = 0.075: 17,329,179 B with four sampling
-    # passes and a COO assembly, 10,285,864 B with one pass written into CSC
+    # passes and a COO assembly, 10,028,546 B with one pass written into CSC
     cfg = cli.load_run_config("example1_circle")
     spec = dataclasses.replace(cfg.grid, h=0.075)
     tracemalloc.start()
@@ -432,16 +432,16 @@ def test_narrow_band_property(host, host_a, defects, h, seed):
     eps = np.finfo(float).eps
     for medium in (config, config.background()):
         planes = solver._sample_coefficients(medium, c, h)
-        scale = np.abs(media.coefficient_table(medium)).max(axis=0)
         for (xs, ys, column), got in zip(_families(c, h), planes):
             want = _full_lattice_average(medium, xs, ys, h)[column]
             # the reference adds 256 terms, and a uniform patch's sum rounds up
-            # to ~8 ulp; the tile counts add one product per region.  Where
-            # regions' values cancel, both round on the scale of the terms:
-            # a12 = 0.082 and -0.5 average to 1.46e-4, and the reference is
-            # 53 eps of that from the exact average, so the sums differ by
-            # eps times the largest term, not by eps times the average
-            np.testing.assert_allclose(got, want, rtol=16 * eps, atol=16 * eps * scale[column])
+            # to ~8 ulp; the tile counts add one product per region.  a11, a22
+            # and n are positive (n in its real part), so their sums cannot
+            # cancel.  a12 takes both signs: 0.082 and -0.5 average to 1.46e-4,
+            # and the reference is 53 eps of that from the exact average, so
+            # there both sums round on the scale of the largest term
+            a12 = np.abs(media.coefficient_table(medium)[:, 1]).max() if column == 1 else 0.0
+            np.testing.assert_allclose(got, want, rtol=16 * eps, atol=16 * eps * a12)
 
 
 # the symmetry group of each preset's scene and background, as (k, s): k
@@ -723,6 +723,25 @@ def test_span_fit_samples_equal_the_full_fit_bit_for_bit(rng, case, gradient):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+def test_weighted_sampling_forms_one_block_of_fields_at_a_time(rng):
+    # the K = 6 BLOCK + 1 fields weights @ fields are sampled as if formed
+    # first, while the traced peak stays below half of their stack
+    nn, m, k = SPAN_GRID.n_nodes, 19, 6 * solver.BLOCK + 1
+    fields = rng.standard_normal((m, nn, nn)) + 1j * rng.standard_normal((m, nn, nn))
+    weights = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+    x, y = SPAN_POINTS["far-field circle"]
+    tracemalloc.start()
+    try:
+        (got,) = solver.sample_fields(SPAN_GRID, fields, x, y, weights=weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (want,) = solver.sample_fields(SPAN_GRID, (weights @ fields.reshape(m, -1)).reshape(k, nn, nn), x, y)
+    # the blocks' products round apart from the whole product's by an ulp or so
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    assert peak < k * nn * nn * 16 / 2
 
 
 def test_sampler_with_no_points_returns_empty_arrays(tiny_grid, rng):
