@@ -19,7 +19,8 @@ import numpy as np
 
 from . import farfield, fm, io, media, solver
 from .errors import (
-    ConfigInvalid, DefectScanError, DimensionMismatch, NoDefectSignal, SchemaError, UsageError,
+    ConfigInvalid, DefectScanError, DimensionMismatch, NoDefectSignal, SchemaError,
+    SingularScattering, UsageError,
 )
 
 
@@ -67,7 +68,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict) or doc.get("schema") != "run/1":
         raise SchemaError("run configuration must be an object declaring schema run/1")
     if doc.get("use_adjoint", False) is not False:
-        # F# and the test functions use S^-1 only; the key may only say false
+        # F# and the test functions use S* only; the key may only say false
         raise SchemaError(f"use_adjoint is no longer supported, got {doc['use_adjoint']!r}")
     try:
         host = media.HostRegion(
@@ -211,10 +212,12 @@ def cmd_reconstruct(
     if cfg.noise_level > 0:
         f0 = farfield.add_noise(f0, cfg.noise_level, cfg.noise_seed)
     f = farfield.relative_operator(f0, fb)
-    s_inv, unitarity = farfield.scattering_operator(fb)
-    _, lam, psi = fm.f_sharp(f, s_inv)
+    s_adj, unitarity = farfield.scattering_operator(fb)
+    if not unitarity <= farfield.UNITARITY_LIMIT:  # a NaN defect fails too
+        raise SingularScattering(f"unitarity defect {unitarity:.2e} > {farfield.UNITARITY_LIMIT}")
+    _, lam, psi = fm.f_sharp(f, s_adj)
     grid = fm.indicator_grid(
-        lam, psi, fields, s_inv, cfg.media, cfg.lattice_bounds,
+        lam, psi, fields, s_adj, cfg.media, cfg.lattice_bounds,
         cfg.lattice_nx, cfg.lattice_ny, floor_rel=cfg.floor_rel,
     )
 
@@ -263,9 +266,9 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
     rec = farfield.reciprocity_defect(fb)
     checks.append({"name": "reciprocity", "value": rec, "limit": 1e-3, "passed": rec <= 1e-3})
 
-    unitarity = farfield.scattering_operator(fb)[1]
+    unitarity, limit = farfield.scattering_operator(fb)[1], farfield.UNITARITY_LIMIT
     checks.append({
-        "name": "unitarity", "value": unitarity, "limit": 0.05, "passed": unitarity <= 0.05,
+        "name": "unitarity", "value": unitarity, "limit": limit, "passed": unitarity <= limit,
     })
 
     # mixed reciprocity: gamma * u_b(z, -x_hat) vs a direct point-source solve

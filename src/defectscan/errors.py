@@ -54,7 +54,7 @@ class DimensionMismatch(DefectScanError):
 
 
 class SingularScattering(DefectScanError):
-    """The scattering operator is singular or too ill-conditioned to invert."""
+    """The scattering operator is too far from unitary for S* to stand for S^-1."""
     exit_code = 3
 
 

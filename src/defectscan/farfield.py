@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import media, solver
-from .errors import ConfigInvalid, DimensionMismatch, SingularScattering
+from .errors import ConfigInvalid, DimensionMismatch
 
-INVERSE_RESIDUAL_TOL = 1e-10
-COND_LIMIT = 1e14  # the residual alone passes S = diag(1, ..., 1e-15); this bound does not
+UNITARITY_LIMIT = 0.05  # the most unitarity defect reconstruct accepts and verify passes
 # F, S and F# are dense N x N and F# takes three O(N^3) eigensolves; the
 # examples use N = 32-64
 MAX_DIRECTIONS = 1024
@@ -133,28 +132,21 @@ def relative_operator(f0: FarFieldMatrix, fb: FarFieldMatrix) -> FarFieldMatrix:
 
 
 def scattering_operator(fb: FarFieldMatrix) -> tuple[np.ndarray, float]:
-    """S = I + 2ik conj(gamma_2) (2 pi / N) F_b; returns (S^{-1}, unitarity defect).
+    """S = I + 2ik conj(gamma_2) (2 pi / N) F_b; returns (S*, unitarity defect).
 
     The conjugated constant is the one that renders S exactly unitary for
     real media under the e^{ikr}/sqrt(r) far-field normalization (checked
-    against the analytic disc series).
+    against the analytic disc series).  The method assumes a background that
+    absorbs nothing, so S^{-1} = S*; the defect ||S* S - I||_F / ||S||_F^2
+    measures how far the data stray from that hypothesis.
     """
     n, k = fb.n, fb.k
     S = np.eye(n, dtype=complex) + (
         2j * k * np.conj(solver.gamma2(k)) * 2 * np.pi / n
     ) * fb.entries
-    try:
-        s_inv = np.linalg.inv(S)
-    except np.linalg.LinAlgError as exc:
-        raise SingularScattering(str(exc)) from exc
-    cond = np.linalg.norm(S, 1) * np.linalg.norm(s_inv, 1)
-    if not cond <= COND_LIMIT:
-        raise SingularScattering(f"scattering operator condition number {cond:.2e} too large")
-    resid = np.linalg.norm(s_inv @ S - np.eye(n)) / np.sqrt(n)
-    if resid > INVERSE_RESIDUAL_TOL:
-        raise SingularScattering(f"inverse residual {resid:.2e} too large")
-    defect = np.linalg.norm(S.conj().T @ S - np.eye(n)) / np.linalg.norm(S) ** 2
-    return s_inv, float(defect)
+    s_adj = S.conj().T
+    defect = np.linalg.norm(s_adj @ S - np.eye(n)) / np.linalg.norm(S) ** 2
+    return s_adj, float(defect)
 
 
 def add_noise(f: FarFieldMatrix, level: float, seed: int) -> FarFieldMatrix:

@@ -1,8 +1,9 @@
 """Factorization-method reconstruction machinery.
 
 Builds F-sharp = |Re(F~)| + |Im(F~)| from the relative far-field matrix with
-F~ = gamma^{-1} S^{-1} W F (W the trapezoidal weight), evaluates the
-projections (phi_z, psi_i) of the test functions phi_z = S^{-1} [gamma
+F~ = gamma^{-1} S* W F (W the trapezoidal weight; S* = S^{-1}, since the
+background absorbs nothing and S is unitary), evaluates the projections
+(phi_z, psi_i) of the test functions phi_z = S* [gamma
 u_b(z, -x_hat_j)]_j (mixed reciprocity) from the stored background total
 fields, and maps the Picard series into the indicator
 X(z) = [sum |(phi_z, psi_i)|^2 / lambda_i]^{-1}.
@@ -69,18 +70,19 @@ def operator_abs(m: np.ndarray) -> np.ndarray:
 # F-sharp
 
 
-def f_sharp(f: FarFieldMatrix, s_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F-sharp = |Re(F~)| + |Im(F~)| with F~ = gamma^{-1} S^{-1} W F.
+def f_sharp(f: FarFieldMatrix, s_adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F-sharp = |Re(F~)| + |Im(F~)| with F~ = gamma^{-1} S* W F.
 
     W = (2pi/N) I represents the quadrature of the continuous integral
-    operator.  For a unitary S, S^{-1} = S^*: passing S^* as `s_inv` gives
-    the adjoint preprocessing.  Returns (matrix, lam, psi): F-sharp, its
+    operator.  `s_adj` is S*, which is S^{-1} for the unitary S the method
+    assumes; passing np.linalg.inv(S) instead gives the inverse
+    preprocessing.  Returns (matrix, lam, psi): F-sharp, its
     eigenvalues descending with numerical negatives clamped to zero, and the
     paired eigenvectors as columns.
     """
-    if s_inv.shape != (f.n, f.n):
-        raise DimensionMismatch("far-field matrix and S^-1 disagree in N")
-    f_tilde = (1.0 / solver.gamma2(f.k)) * (s_inv @ ((2 * np.pi / f.n) * f.entries))
+    if s_adj.shape != (f.n, f.n):
+        raise DimensionMismatch("far-field matrix and S* disagree in N")
+    f_tilde = (1.0 / solver.gamma2(f.k)) * (s_adj @ ((2 * np.pi / f.n) * f.entries))
     re = 0.5 * (f_tilde + f_tilde.conj().T)
     im = (f_tilde - f_tilde.conj().T) / 2j
     sharp = operator_abs(re) + operator_abs(im)
@@ -110,7 +112,7 @@ def test_functions(
     fields: FieldSet, a: np.ndarray, config: media.MediaConfig, points,
 ) -> np.ndarray:
     """Rows a g_z, shape (P, K), for a (K, N) matrix a, with g_z[j] =
-    gamma u_b(z, -x_hat_j) (see `reversed_incidence_samples`); a = S^{-1}
+    gamma u_b(z, -x_hat_j) (see `reversed_incidence_samples`); a = S*
     gives the test functions phi_z.
 
     Sampling is linear, so the K fields sum_j a[i, j] gamma u_b(., -x_hat_j)
@@ -190,7 +192,7 @@ def indicator_grid(
     lam: np.ndarray,
     psi: np.ndarray,
     fields: FieldSet,
-    s_inv: np.ndarray,
+    s_adj: np.ndarray,
     config: media.MediaConfig,
     bounds,
     nx: int,
@@ -198,18 +200,19 @@ def indicator_grid(
     floor_rel: float = DEFAULT_FLOOR_REL,
 ) -> IndicatorGrid:
     """Evaluate the indicator on a lattice restricted to the host interior,
-    which at least one lattice point must reach."""
+    which at least one lattice point must reach; `s_adj` is S* as
+    `f_sharp` takes it."""
     if nx < 1 or ny < 1:
         raise ConfigInvalid("sampling lattice needs nx, ny >= 1")
     xs, ys, pts = sampling_lattice(bounds, nx, ny)
     mask_flat = config.host.shape.contains(pts)
     if not np.any(mask_flat):
         raise ConfigInvalid("no sampling lattice point lies inside the host D")
-    if not (s_inv.shape == psi.shape == (fields.n, fields.n)):
-        raise DimensionMismatch("field set, eigenvectors and S^-1 disagree in N")
+    if not (s_adj.shape == psi.shape == (fields.n, fields.n)):
+        raise DimensionMismatch("field set, eigenvectors and S* disagree in N")
     keep = kept_modes(lam, floor_rel)
-    # row i of a is psi_i^H S^{-1}, so a g_z holds the projections (phi_z, psi_i)
-    a = psi[:, keep].conj().T @ s_inv
+    # row i of a is psi_i^H S*, so a g_z holds the projections (phi_z, psi_i)
+    a = psi[:, keep].conj().T @ s_adj
     values = np.zeros(nx * ny)
     proj = test_functions(fields, a, config, pts[mask_flat])
     values[mask_flat], flag = picard_indicator(lam, proj, floor_rel)

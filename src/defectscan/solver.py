@@ -142,35 +142,16 @@ def _spline_rows(c: np.ndarray, h: float, x: np.ndarray):
     return span.astype(int)[:, None] + np.arange(4), weights
 
 
-def _fit_spans(n: int, ix: np.ndarray, iy: np.ndarray) -> list:
-    """The rows of `_spline_fit(n)` that the coefficient indices ix and iy
-    reach, each widened to start and end at a multiple of 8, or the whole
-    fit's rows.
-
-    BLAS computes rows in blocks of up to 8, and a row in a full block
-    rounds as it does in the whole fit, so the samples keep the whole fit's
-    bits.  The whole fit's last (n + 2) mod 8 rows, and the columns of the x
-    fit they become, may come from a tail kernel that a smaller product
-    rounds differently: points whose spans reach them, or no points, take
-    the whole fit.  A BLAS that picks another kernel for the smaller
-    product by its size alone may still move a sample by an ulp.
-    """
-    whole = [slice(0, n + 2)] * 2
-    if not ix.size:
-        return whole
-    spans = [slice(i.min() // 8 * 8, (i.max() + 8) // 8 * 8) for i in (ix, iy)]
-    return spans if all(s.stop <= (n + 2) // 8 * 8 for s in spans) else whole
-
-
 def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = False,
                   weights: np.ndarray | None = None) -> list:
     """Tensor-product not-a-knot cubic splines through a stack of grid fields,
     evaluated at the points (x[p], y[p]) of the node grid.
 
     Fits every field of `values` (..., n_nodes, n_nodes), indexed [y, x],
-    over the coefficients the points reach (`_fit_spans`), and returns one
-    array (..., P) per quantity: [values], or with
-    `gradient=True` [values, d/dx, d/dy] of each field's np.gradient planes.
+    over the coefficients the points reach (so the samples agree with the
+    whole grid's fit to rounding) and returns one array (..., P) per
+    quantity: [values], or with `gradient=True` [values, d/dx, d/dy] of each
+    field's np.gradient planes.
     With `weights` (K, M) for the M fields of `values`, it samples the K
     fields weights @ values instead, each formed only when its block is fitted.
     Fitting and np.gradient are linear, so each is a matrix applied along
@@ -192,7 +173,9 @@ def sample_fields(spec: GridSpec, values: np.ndarray, x, y, gradient: bool = Fal
 
     ix, wx = _spline_rows(c, spec.h, x)
     iy, wy = _spline_rows(c, spec.h, y)
-    xs, ys = _fit_spans(n, ix, iy)
+    if not p:
+        return [np.empty(batch + (0,), dtype=complex) for _ in range(3 if gradient else 1)]
+    xs, ys = (slice(i.min(), i.max() + 1) for i in (ix, iy))
     nx, ny = xs.stop - xs.start, ys.stop - ys.start
     cols = (ix.reshape(p, 4, 1) - xs.start) * ny + iy.reshape(p, 1, 4) - ys.start
     data = wx.reshape(p, 4, 1) * wy.reshape(p, 1, 4)

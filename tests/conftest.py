@@ -25,7 +25,7 @@ def ex1_data(ex1_cfg):
 
 @pytest.fixture(scope="session")
 def ex1_operator(ex1_data):
-    """(S^-1, unitarity defect) of the reference scene's background."""
+    """(S*, unitarity defect) of the reference scene's background."""
     return farfield.scattering_operator(ex1_data[1])
 
 

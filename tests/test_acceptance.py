@@ -238,6 +238,6 @@ def test_criterion_9_degenerate_inputs(tmp_path):
     noise_ident = bool(np.array_equal(clean.entries, f0.entries))
     ok = f_zero and s_ident and exit5 and noise_ident
     _line(9, "degenerate zero-contrast handling", ok,
-          f"F=0 exactly: {f_zero}, S^-1=I exactly: {s_ident}, "
+          f"F=0 exactly: {f_zero}, S*=I exactly: {s_ident}, "
           f"no-signal exit: {exit5}, zero noise is identity: {noise_ident}")
     assert ok

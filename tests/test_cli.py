@@ -639,7 +639,7 @@ def test_reconstruct_checks_assumptions_at_the_data_grid(tiny_simulation, tmp_pa
 
 def test_singular_scattering_operator_exits_3_before_any_output(tiny_simulation, tmp_path, capsys):
     # a background far field so large that adding I rounds away: every entry
-    # of S is the same number, and S has rank 1
+    # of S is the same number, so S has rank 1 and is nowhere near unitary
     fb = io.read_ffm(tiny_simulation["fb"])
     crafted = str(tmp_path / "Fb.ffm.json")
     huge = np.full((fb.n, fb.n), 1e20 + 0j)
@@ -651,9 +651,67 @@ def test_singular_scattering_operator_exits_3_before_any_output(tiny_simulation,
     assert os.listdir(out) == []
 
 
+def test_scattering_operator_whose_defect_overflows_exits_3(tiny_simulation, tmp_path, capsys):
+    # finite entries of 1e200 overflow S* S, and the defect is NaN, which no
+    # comparison passes: reconstruct still rejects S before any output
+    fb = io.read_ffm(tiny_simulation["fb"])
+    crafted = farfield.FarFieldMatrix(fb.k, np.full((fb.n, fb.n), 1e200 + 0j))
+    path = str(tmp_path / "Fb.ffm.json")
+    io.write_ffm(path, crafted)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(farfield.scattering_operator(crafted)[1])
+        assert _reconstruct(tiny_simulation, out, fb=path) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "SingularScattering"
+    assert os.listdir(out) == []
+
+
+def _diagonal_fb(k, n, last):
+    """A background far field whose S is diag(1, ..., 1, last)."""
+    entries = np.zeros((n, n), dtype=complex)
+    entries[-1, -1] = (last - 1.0) / (2j * k * np.conj(solver.gamma2(k)) * 2 * np.pi / n)
+    return farfield.FarFieldMatrix(k, entries)
+
+
+def test_non_unitary_scattering_operator_exits_3_before_any_output(
+    tiny_simulation, tmp_path, capsys,
+):
+    # S = diag(1, ..., 1, 0.5) has condition number 2, so it inverts without
+    # trouble, but S* is not its inverse: defect 0.75 / 7.25 > UNITARITY_LIMIT
+    fb = io.read_ffm(tiny_simulation["fb"])
+    crafted = _diagonal_fb(fb.k, fb.n, 0.5)
+    s_adj, defect = farfield.scattering_operator(crafted)
+    assert np.linalg.cond(s_adj) == pytest.approx(2) and defect > farfield.UNITARITY_LIMIT
+    path = str(tmp_path / "Fb.ffm.json")
+    io.write_ffm(path, crafted)
+    out = tmp_path / "out"
+    assert _reconstruct(tiny_simulation, out, fb=path) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "SingularScattering" and err["exit_code"] == 3
+    assert os.listdir(out) == []
+
+
+def test_scattering_operator_just_within_the_unitarity_limit_reconstructs(
+    tiny_simulation, tmp_path,
+):
+    # diag(1, ..., 1, s) has defect (1 - s^2) / (N - 1 + s^2); this s puts it
+    # at 0.049, just below the limit
+    fb = io.read_ffm(tiny_simulation["fb"])
+    d = 0.049
+    assert d < farfield.UNITARITY_LIMIT
+    crafted = _diagonal_fb(fb.k, fb.n, np.sqrt((1 - d * (fb.n - 1)) / (1 + d)))
+    path = str(tmp_path / "Fb.ffm.json")
+    io.write_ffm(path, crafted)
+    out = tmp_path / "out"
+    assert _reconstruct(tiny_simulation, out, fb=path) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["unitarity_defect"] == pytest.approx(d, rel=1e-9)
+
+
 def test_use_adjoint_is_rejected(tiny_simulation, tmp_path, capsys):
-    # F# and the test functions take S^-1 only: the flag is gone, and a config
-    # whose use_adjoint is anything but false exits 2 instead of running S^-1
+    # F# and the test functions take S* only: the flag is gone, and a config
+    # whose use_adjoint is anything but false exits 2 instead of running S*
     assert _reconstruct(tiny_simulation, tmp_path / "flag", "--use-adjoint") == 2
     assert json.loads(capsys.readouterr().err)["error"] == "UsageError"
     for i, (value, code) in enumerate(((True, 2), ("no", 2), (0, 2), (False, 0))):
@@ -1145,6 +1203,19 @@ def test_verify_skips_mie_for_noncircular_host(tiny_config_path, tmp_path):
     report = json.load(open(os.path.join(out, "report.json")))
     mie = next(c for c in report["checks"] if c["name"] == "mie_parity")
     assert mie.get("skipped")
+
+
+def test_verify_reports_a_failed_unitarity_check_and_exits_1(
+    tiny_config_path, tmp_path, monkeypatch,
+):
+    # reconstruct would refuse this background; verify writes its report first
+    real = farfield.scattering_operator
+    monkeypatch.setattr(farfield, "scattering_operator", lambda fb: (real(fb)[0], 0.06))
+    assert cli.main(["verify", "--config", tiny_config_path, "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    (check,) = [c for c in report["checks"] if c["name"] == "unitarity"]
+    assert report["passed"] is False and check["passed"] is False
+    assert check["value"] == 0.06 and check["limit"] == farfield.UNITARITY_LIMIT
 
 
 @pytest.mark.parametrize("name", [

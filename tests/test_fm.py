@@ -21,7 +21,7 @@ def _random_hermitian(rng, n):
 
 
 def _identity_operator(n=16):
-    """S^-1 of a background that scatters nothing: the identity."""
+    """S* of a background that scatters nothing: the identity."""
     zero = farfield.FarFieldMatrix(K, np.zeros((n, n), dtype=complex))
     return farfield.scattering_operator(zero)[0]
 
@@ -120,9 +120,9 @@ def test_operator_abs_spectrum(rng):
 
 
 def test_f_sharp_zero():
-    s_inv = _identity_operator()
+    s_adj = _identity_operator()
     f = farfield.FarFieldMatrix(K, np.zeros((16, 16), dtype=complex))
-    mat, lam, _ = fm.f_sharp(f, s_inv)
+    mat, lam, _ = fm.f_sharp(f, s_adj)
     assert np.all(mat == 0.0)
     assert np.all(lam == 0.0)
 
@@ -130,12 +130,12 @@ def test_f_sharp_zero():
 def test_f_sharp_hermitian_psd_input(rng):
     # craft F so that the preprocessed matrix equals a known Hermitian PSD H
     n = 16
-    s_inv = _identity_operator(n)
+    s_adj = _identity_operator(n)
     m = _random_hermitian(rng, n)
     h = m @ m.conj().T
     entries = solver.gamma2(K) * (n / (2 * np.pi)) * h
     f = farfield.FarFieldMatrix(K, entries)
-    mat, _, _ = fm.f_sharp(f, s_inv)
+    mat, _, _ = fm.f_sharp(f, s_adj)
     assert np.linalg.norm(mat - h) <= 1e-9 * np.linalg.norm(h)
 
 
@@ -157,12 +157,12 @@ def test_f_sharp_spectrum_decay(ex1_data, ex1_operator):
 
 def test_f_sharp_scaling_covariance(rng):
     n = 16
-    s_inv = _identity_operator(n)
+    s_adj = _identity_operator(n)
     entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     f1 = farfield.FarFieldMatrix(K, entries)
     f2 = farfield.FarFieldMatrix(K, 2.5 * entries)
-    _, lam1, psi1 = fm.f_sharp(f1, s_inv)
-    _, lam2, psi2 = fm.f_sharp(f2, s_inv)
+    _, lam1, psi1 = fm.f_sharp(f1, s_adj)
+    _, lam2, psi2 = fm.f_sharp(f2, s_adj)
     assert np.allclose(lam2, 2.5 * lam1, atol=1e-10 * lam1[0])
     # indicator values scale, ranking is invariant
     phi = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
@@ -175,16 +175,15 @@ def test_f_sharp_scaling_covariance(rng):
 @settings(max_examples=20, deadline=None)
 @given(n=st.sampled_from([8, 16]), seed=st.integers(0, 2**32 - 1))
 def test_f_sharp_hermitian_psd_property(n, seed):
-    # any F with any unitary S: both preprocessings, S^-1 and S* (passed as
-    # s_inv), give a Hermitian PSD F#, and they agree since S^-1 = S* for
-    # unitary S
+    # any F with any unitary S: both preprocessings, S^-1 and S*, give a
+    # Hermitian PSD F#, and they agree since S^-1 = S* for unitary S
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     f = farfield.FarFieldMatrix(K, entries)
     sharps = []
-    for s_inv in (np.linalg.inv(q), q.conj().T):
-        m, lam, _ = fm.f_sharp(f, s_inv)
+    for op in (np.linalg.inv(q), q.conj().T):
+        m, lam, _ = fm.f_sharp(f, op)
         assert np.array_equal(m, m.conj().T)
         # PSD before the clamp to zero
         pre = np.linalg.eigvalsh(m)
@@ -207,9 +206,9 @@ def test_f_sharp_mismatch(ex1_data):
 def test_test_functions_zero_contrast(homogeneous_system):
     system, cfg = homogeneous_system
     _, fields = farfield.assemble_far_field_matrix(system, 16)
-    s_inv = _identity_operator(16)
+    s_adj = _identity_operator(16)
     pts = np.array([[0.2, -0.3], [0.0, 0.5]])
-    phi = fm.test_functions(fields, s_inv, cfg, pts)
+    phi = fm.test_functions(fields, s_adj, cfg, pts)
     assert phi.shape == (2, 16)
     ang = farfield.direction_angles(16)
     for p, row in zip(pts, phi):
@@ -223,7 +222,7 @@ def test_test_functions_validation(ex1_cfg, ex1_data, ex1_operator):
     _, _, fields = ex1_data
     with pytest.raises(PointOutsideD):
         fm.test_functions(fields, ex1_operator[0], ex1_cfg.media, [[3.0, 0.0]])
-    with pytest.raises(DimensionMismatch):  # S^-1 of 16 directions, fields of 32
+    with pytest.raises(DimensionMismatch):  # S* of 16 directions, fields of 32
         fm.test_functions(fields, _identity_operator(16), ex1_cfg.media, [[0.0, 0.0]])
 
 
@@ -251,8 +250,8 @@ def test_test_functions_grid_shift_invariance(tiny_cfg):
         fb, fields = farfield.assemble_far_field_matrix(
             solver.assemble_system(spec, tiny_cfg.background()), 16
         )
-        s_inv = farfield.scattering_operator(fb)[0]
-        phis.append(fm.test_functions(fields, s_inv, tiny_cfg, [[0.2, -0.1]])[0])
+        s_adj = farfield.scattering_operator(fb)[0]
+        phis.append(fm.test_functions(fields, s_adj, tiny_cfg, [[0.2, -0.1]])[0])
     diff = np.linalg.norm(phis[0] - phis[1]) / np.linalg.norm(phis[0])
     assert diff <= 1e-2
 
@@ -346,12 +345,12 @@ def test_floored_modes_are_the_modes_the_series_drops(homogeneous_system):
     assert grid.floored_modes == 1
 
 
-def _two_product_indicator(lam, psi, fields, s_inv, pts, floor_rel):
-    """The indicator as S^-1 times all N samples, then the projections."""
+def _two_product_indicator(lam, psi, fields, s_adj, pts, floor_rel):
+    """The indicator as S* times all N samples, then the projections."""
     keep = fm.kept_modes(lam, floor_rel)
     if not np.any(keep):
         return np.full(len(pts), fm.INDICATOR_CAP)
-    phi = (s_inv @ fm.reversed_incidence_samples(fields, pts)).T
+    phi = (s_adj @ fm.reversed_incidence_samples(fields, pts)).T
     return 1.0 / (np.abs(phi @ psi[:, keep].conj()) ** 2 @ (1.0 / lam[keep]))
 
 
@@ -361,14 +360,14 @@ def test_indicator_grid_matches_the_two_product_formula(ex1_cfg, ex1_data, ex1_o
     # only the order of the sums: on 2% noisy data, with every mode kept,
     # with the floor at 1e-2 (K < N), and with lambda_1 = 0 (no mode kept)
     f0, fb, fields = ex1_data
-    s_inv = ex1_operator[0]
-    _, lam, psi = fm.f_sharp(farfield.relative_operator(farfield.add_noise(f0, 0.02, 5), fb), s_inv)
+    s_adj = ex1_operator[0]
+    _, lam, psi = fm.f_sharp(farfield.relative_operator(farfield.add_noise(f0, 0.02, 5), fb), s_adj)
     floor = 1e-2 if case == "floored" else fm.DEFAULT_FLOOR_REL
     if case == "no_signal":
         lam = np.zeros_like(lam)
-    grid = fm.indicator_grid(lam, psi, fields, s_inv, ex1_cfg.media, (-2, 2, -2, 2), 41, 41, floor)
+    grid = fm.indicator_grid(lam, psi, fields, s_adj, ex1_cfg.media, (-2, 2, -2, 2), 41, 41, floor)
     pts = fm.sampling_lattice((-2, 2, -2, 2), 41, 41)[2][grid.mask.ravel()]
-    want = _two_product_indicator(lam, psi, fields, s_inv, pts, floor)
+    want = _two_product_indicator(lam, psi, fields, s_adj, pts, floor)
     got = grid.values[grid.mask]
     assert np.max(np.abs(got - want) / want) <= 1e-10
     kept = np.count_nonzero(fm.kept_modes(lam, floor))
@@ -385,13 +384,13 @@ def test_indicator_grid_is_invariant_within_a_degenerate_pair(ex1_cfg, ex1_data,
     # any orthonormal basis of such a pair's plane is as good as LAPACK's, so
     # turning it by a 2 x 2 unitary must leave the indicator unchanged
     f0, fb, fields = ex1_data
-    s_inv = ex1_operator[0]
-    _, lam, psi = fm.f_sharp(farfield.relative_operator(f0, fb), s_inv)
+    s_adj = ex1_operator[0]
+    _, lam, psi = fm.f_sharp(farfield.relative_operator(f0, fb), s_adj)
     keep = fm.kept_modes(lam, fm.DEFAULT_FLOOR_REL)
     pairs = [i for i in range(len(lam) - 1)
              if keep[i + 1] and lam[i] - lam[i + 1] <= 1e-12 * lam[i]]
     assert pairs  # the quarter-turn symmetry makes such pairs
-    args = (fields, s_inv, ex1_cfg.media, (-2, 2, -2, 2), 41, 41)
+    args = (fields, s_adj, ex1_cfg.media, (-2, 2, -2, 2), 41, 41)
     base = fm.indicator_grid(lam, psi, *args)
     t, phase = 0.7, np.exp(0.4j)
     u = np.array([[np.cos(t), -np.sin(t) * phase], [np.sin(t) / phase, np.cos(t)]])
@@ -458,9 +457,9 @@ def _pipeline(scene):
         solver.assemble_system(SYMMETRY_GRID, scene), SYMMETRY_N)[0]
     fb, fields = farfield.assemble_far_field_matrix(
         solver.assemble_system(SYMMETRY_GRID, scene.background()), SYMMETRY_N)
-    s_inv = farfield.scattering_operator(fb)[0]
-    _, lam, psi = fm.f_sharp(farfield.relative_operator(f0, fb), s_inv)
-    grid = fm.indicator_grid(lam, psi, fields, s_inv, scene, scene.host.shape.bbox(),
+    s_adj = farfield.scattering_operator(fb)[0]
+    _, lam, psi = fm.f_sharp(farfield.relative_operator(f0, fb), s_adj)
+    grid = fm.indicator_grid(lam, psi, fields, s_adj, scene, scene.host.shape.bbox(),
                              SYMMETRY_LATTICE, SYMMETRY_LATTICE, floor_rel=1e-4)
     return f0.entries, fb.entries, grid.values
 
