@@ -213,8 +213,9 @@ def cmd_reconstruct(
         f0 = farfield.add_noise(f0, cfg.noise_level, cfg.noise_seed)
     f = farfield.relative_operator(f0, fb)
     s_adj, unitarity = farfield.scattering_operator(fb)
-    if not unitarity <= farfield.UNITARITY_LIMIT:  # a NaN defect fails too
-        raise SingularScattering(f"unitarity defect {unitarity:.2e} > {farfield.UNITARITY_LIMIT}")
+    gap = farfield.unitarity_gap(s_adj)
+    if not gap <= farfield.UNITARITY_LIMIT:  # a NaN gap fails too
+        raise SingularScattering(f"||S*S - I||_2 = {gap:.2e} > {farfield.UNITARITY_LIMIT}")
     _, lam, psi = fm.f_sharp(f, s_adj)
     grid = fm.indicator_grid(
         lam, psi, fields, s_adj, cfg.media, cfg.lattice_bounds,

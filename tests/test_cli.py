@@ -492,18 +492,28 @@ def test_noisy_reconstruct_and_verify_deterministic(tiny_simulation, tmp_path):
     assert json.loads(rounds[0]["report.json"])["noise"] == {"level": 0.02, "seed": 5}
 
 
-@pytest.fixture(scope="module")
-def tiny_simulation(tmp_path_factory):
-    """Paths of the tiny scene's config and simulate outputs."""
-    root = tmp_path_factory.mktemp("tiny_sim")
+def _simulate_tiny(root, *flags):
     cfg = root / "tiny.json"
     cfg.write_text(json.dumps(TINY_DOC))
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(root)]) == 0
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(root), *flags]) == 0
     return {
         "config": str(cfg),
         **{key: str(root / name) for key, name in
            (("f0", "F0.ffm.json"), ("fb", "Fb.ffm.json"), ("fields", "fields.bin"))},
     }
+
+
+@pytest.fixture(scope="module")
+def tiny_simulation(tmp_path_factory):
+    """Paths of the tiny scene's config and simulate outputs."""
+    return _simulate_tiny(tmp_path_factory.mktemp("tiny_sim"))
+
+
+@pytest.fixture(scope="module")
+def tiny_simulation_32(tmp_path_factory):
+    """The same at N = 32, where one bad direction of S has a unitarity
+    defect of at most 1 / (N - 1), below the limit."""
+    return _simulate_tiny(tmp_path_factory.mktemp("tiny_sim_32"), "--directions", "32")
 
 
 def _reconstruct(paths, out, *flags, **override):
@@ -637,35 +647,6 @@ def test_reconstruct_checks_assumptions_at_the_data_grid(tiny_simulation, tmp_pa
         assert (tmp_path / "coarse" / name).read_bytes() == (tmp_path / "same" / name).read_bytes()
 
 
-def test_singular_scattering_operator_exits_3_before_any_output(tiny_simulation, tmp_path, capsys):
-    # a background far field so large that adding I rounds away: every entry
-    # of S is the same number, so S has rank 1 and is nowhere near unitary
-    fb = io.read_ffm(tiny_simulation["fb"])
-    crafted = str(tmp_path / "Fb.ffm.json")
-    huge = np.full((fb.n, fb.n), 1e20 + 0j)
-    io.write_ffm(crafted, farfield.FarFieldMatrix(fb.k, huge))
-    out = tmp_path / "out"
-    assert _reconstruct(tiny_simulation, out, fb=crafted) == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "SingularScattering" and err["exit_code"] == 3
-    assert os.listdir(out) == []
-
-
-def test_scattering_operator_whose_defect_overflows_exits_3(tiny_simulation, tmp_path, capsys):
-    # finite entries of 1e200 overflow S* S, and the defect is NaN, which no
-    # comparison passes: reconstruct still rejects S before any output
-    fb = io.read_ffm(tiny_simulation["fb"])
-    crafted = farfield.FarFieldMatrix(fb.k, np.full((fb.n, fb.n), 1e200 + 0j))
-    path = str(tmp_path / "Fb.ffm.json")
-    io.write_ffm(path, crafted)
-    out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isnan(farfield.scattering_operator(crafted)[1])
-        assert _reconstruct(tiny_simulation, out, fb=path) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "SingularScattering"
-    assert os.listdir(out) == []
-
-
 def _diagonal_fb(k, n, last):
     """A background far field whose S is diag(1, ..., 1, last)."""
     entries = np.zeros((n, n), dtype=complex)
@@ -673,40 +654,57 @@ def _diagonal_fb(k, n, last):
     return farfield.FarFieldMatrix(k, entries)
 
 
-def test_non_unitary_scattering_operator_exits_3_before_any_output(
-    tiny_simulation, tmp_path, capsys,
+def test_singular_scattering_operator_exits_3_before_any_output(
+    tiny_simulation_32, tmp_path, capsys,
 ):
-    # S = diag(1, ..., 1, 0.5) has condition number 2, so it inverts without
-    # trouble, but S* is not its inverse: defect 0.75 / 7.25 > UNITARITY_LIMIT
-    fb = io.read_ffm(tiny_simulation["fb"])
-    crafted = _diagonal_fb(fb.k, fb.n, 0.5)
-    s_adj, defect = farfield.scattering_operator(crafted)
-    assert np.linalg.cond(s_adj) == pytest.approx(2) and defect > farfield.UNITARITY_LIMIT
-    path = str(tmp_path / "Fb.ffm.json")
-    io.write_ffm(path, crafted)
-    out = tmp_path / "out"
-    assert _reconstruct(tiny_simulation, out, fb=path) == 3
-    (line,) = capsys.readouterr().err.splitlines()
-    err = json.loads(line)
-    assert err["error"] == "SingularScattering" and err["exit_code"] == 3
-    assert os.listdir(out) == []
+    # each background is far from unitary in at least one direction, at
+    # N = 32; the defect of a diagonal S is under the limit, the gap is not
+    fb = io.read_ffm(tiny_simulation_32["fb"])
+    n, limit = fb.n, farfield.UNITARITY_LIMIT
+    cases = {
+        # entries so large that adding I rounds away: S has rank 1
+        "rank one": (np.full((n, n), 1e20 + 0j), lambda d, g: d > limit),
+        # S* S overflows: the defect is NaN and the gap infinite
+        "overflow": (np.full((n, n), 1e200 + 0j), lambda d, g: np.isnan(d) and g == np.inf),
+        "diag(1, ..., 1, 0)": (
+            _diagonal_fb(fb.k, n, 0.0).entries, lambda d, g: d == pytest.approx(1 / 31) and g == 1,
+        ),
+        # condition number 2: the parent's inverse took it without trouble
+        "diag(1, ..., 1, 0.5)": (
+            _diagonal_fb(fb.k, n, 0.5).entries,
+            lambda d, g: d == pytest.approx(0.75 / 31.25) and g == pytest.approx(0.75),
+        ),
+    }
+    for name, (entries, measures) in cases.items():
+        crafted = farfield.FarFieldMatrix(fb.k, entries)
+        s_adj, defect = farfield.scattering_operator(crafted)
+        assert measures(defect, farfield.unitarity_gap(s_adj)), name
+        path, out = str(tmp_path / f"{name}.ffm.json"), tmp_path / name
+        io.write_ffm(path, crafted)
+        # no errstate here: a RuntimeWarning on the way fails the test
+        assert _reconstruct(tiny_simulation_32, out, fb=path) == 3, name
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "SingularScattering" and err["exit_code"] == 3, name
+        assert os.listdir(out) == [], name
 
 
 def test_scattering_operator_just_within_the_unitarity_limit_reconstructs(
-    tiny_simulation, tmp_path,
+    tiny_simulation_32, tmp_path,
 ):
-    # diag(1, ..., 1, s) has defect (1 - s^2) / (N - 1 + s^2); this s puts it
-    # at 0.049, just below the limit
-    fb = io.read_ffm(tiny_simulation["fb"])
-    d = 0.049
-    assert d < farfield.UNITARITY_LIMIT
-    crafted = _diagonal_fb(fb.k, fb.n, np.sqrt((1 - d * (fb.n - 1)) / (1 + d)))
+    # diag(1, ..., 1, s) has gap 1 - s^2 = 0.049, just below the limit, and
+    # defect 0.049 / (N - 1 + s^2)
+    fb = io.read_ffm(tiny_simulation_32["fb"])
+    gap = 0.049
+    assert gap < farfield.UNITARITY_LIMIT
+    crafted = _diagonal_fb(fb.k, fb.n, np.sqrt(1 - gap))
+    assert farfield.unitarity_gap(farfield.scattering_operator(crafted)[0]) == pytest.approx(gap)
     path = str(tmp_path / "Fb.ffm.json")
     io.write_ffm(path, crafted)
     out = tmp_path / "out"
-    assert _reconstruct(tiny_simulation, out, fb=path) == 0
+    assert _reconstruct(tiny_simulation_32, out, fb=path) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["unitarity_defect"] == pytest.approx(d, rel=1e-9)
+    assert report["unitarity_defect"] == pytest.approx(gap / (fb.n - gap), rel=1e-9)
 
 
 def test_use_adjoint_is_rejected(tiny_simulation, tmp_path, capsys):

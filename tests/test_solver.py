@@ -726,8 +726,6 @@ def _assert_span_fit_rounding(got, want, fields, h):
 @pytest.mark.parametrize("gradient", [False, True])
 @pytest.mark.parametrize("case", sorted(SPAN_POINTS))
 def test_span_fit_samples_equal_the_full_fit_bit_for_bit(rng, case, gradient):
-    # named for the bits the span fit once kept; it fits exactly the span the
-    # points reach, and the 81^2 window and the last spans now round apart
     nn, m = SPAN_GRID.n_nodes, 2 * solver.BLOCK + 3  # fields in three blocks
     fields = rng.standard_normal((m, nn, nn)) + 1j * rng.standard_normal((m, nn, nn))
     x, y = (np.asarray(v, dtype=float) for v in SPAN_POINTS[case])
